@@ -200,8 +200,10 @@ void TcpConnection::try_send() {
     const std::size_t unsent = buf_end - snd_nxt_;
     const std::size_t len = std::min({cfg_.mss, unsent, usable});
     if (len == 0) break;
-    tx_records_[snd_nxt_] =
-        TxRecord{snd_nxt_ + static_cast<std::uint32_t>(len), loop_.now(), 1};
+    // snd_nxt_ is past every queued record's start, so this keeps the order.
+    assert(tx_head_ == tx_queue_.size() || seq_lt(tx_queue_.back().seq, snd_nxt_));
+    tx_queue_.push_back(TxRecord{snd_nxt_, snd_nxt_ + static_cast<std::uint32_t>(len),
+                                 loop_.now(), 1});
     emit(kAck, snd_nxt_, len, false);
     stats_.bytes_sent += len;
     snd_nxt_ += static_cast<std::uint32_t>(len);
@@ -235,12 +237,14 @@ void TcpConnection::retransmit_from(std::uint32_t seq, const char* why,
     const std::size_t in_flight_past = snd_nxt_ - seq;
     const std::size_t len = std::min({cfg_.mss, avail, in_flight_past});
     if (len == 0) return;
-    auto it = tx_records_.find(seq);
-    if (it != tx_records_.end()) {
-      ++it->second.tx_count;  // Karn: this range no longer yields RTT samples
+    const auto it = tx_lower_bound(seq);
+    if (it != tx_queue_.end() && it->seq == seq) {
+      ++it->tx_count;  // Karn: this range no longer yields RTT samples
     } else {
-      tx_records_[seq] = TxRecord{seq + static_cast<std::uint32_t>(len),
-                                  loop_.now(), 2};
+      // Rare: `seq` is inside a partially acked record, so the new record
+      // goes in order near the front.
+      tx_queue_.insert(it, TxRecord{seq, seq + static_cast<std::uint32_t>(len),
+                                    loop_.now(), 2});
     }
     emit(kAck, seq, len, true);
   } else {
@@ -261,6 +265,13 @@ void TcpConnection::retransmit_from(std::uint32_t seq, const char* why,
                trace_pid(local_node_), local_port_,
                obs::TraceArgs().add("seq", seq).add("why", why).take());
   }
+}
+
+std::vector<TcpConnection::TxRecord>::iterator TcpConnection::tx_lower_bound(
+    std::uint32_t seq) {
+  return std::lower_bound(
+      tx_queue_.begin() + static_cast<std::ptrdiff_t>(tx_head_), tx_queue_.end(), seq,
+      [](const TxRecord& r, std::uint32_t s) { return seq_lt(r.seq, s); });
 }
 
 void TcpConnection::arm_rto() {
@@ -449,17 +460,32 @@ void TcpConnection::on_new_ack(std::uint32_t ack, std::size_t newly_acked) {
   // was transmitted exactly once (Karn). Sampling later segments of a
   // cumulative ACK would count queueing time behind retransmission holes as
   // path RTT and blow up the RTO.
-  const auto edge = tx_records_.find(snd_una_);
-  if (edge != tx_records_.end() && seq_le(edge->second.end_seq, ack) &&
-      edge->second.tx_count == 1) {
-    update_rtt(loop_.now() - edge->second.first_tx);
+  const auto edge = tx_lower_bound(snd_una_);
+  if (edge != tx_queue_.end() && edge->seq == snd_una_ &&
+      seq_le(edge->end_seq, ack) && edge->tx_count == 1) {
+    update_rtt(loop_.now() - edge->first_tx);
   }
-  for (auto it = tx_records_.begin(); it != tx_records_.end();) {
-    if (seq_le(it->second.end_seq, ack)) {
-      it = tx_records_.erase(it);
-    } else {
-      ++it;
-    }
+  // Drop every record that ends at or before `ack`. Only records starting
+  // before `ack` can, and they are a prefix of the queue: walk it backwards,
+  // keep the ones straddling `ack` in order at its back, and move the head
+  // past the rest.
+  std::size_t acked_end = tx_head_;
+  while (acked_end < tx_queue_.size() && seq_lt(tx_queue_[acked_end].seq, ack)) {
+    ++acked_end;
+  }
+  std::size_t kept = acked_end;
+  for (std::size_t i = acked_end; i-- > tx_head_;) {
+    if (!seq_le(tx_queue_[i].end_seq, ack)) tx_queue_[--kept] = tx_queue_[i];
+  }
+  tx_head_ = kept;
+  if (tx_head_ == tx_queue_.size()) {
+    tx_queue_.clear();
+    tx_head_ = 0;
+  } else if (tx_head_ >= 64 && tx_head_ >= tx_queue_.size() - tx_head_) {
+    // Reclaim the consumed prefix once it dominates the queue.
+    tx_queue_.erase(tx_queue_.begin(),
+                    tx_queue_.begin() + static_cast<std::ptrdiff_t>(tx_head_));
+    tx_head_ = 0;
   }
 
   snd_una_ = ack;
@@ -539,7 +565,12 @@ void TcpConnection::handle_payload(const net::Packet& p) {
   if (!p.payload.empty()) {
     if (seq_gt(seq, rcv_nxt_)) {
       ++stats_.out_of_order_segments;
-      ooo_.emplace(seq, p.payload);
+      const auto it = std::lower_bound(
+          ooo_.begin(), ooo_.end(), seq,
+          [](const OooSegment& s, std::uint32_t v) { return seq_lt(s.seq, v); });
+      if (it == ooo_.end() || it->seq != seq) {  // the first copy of a start wins
+        ooo_.insert(it, OooSegment{seq, p.payload});
+      }
       ++stats_.dup_acks_sent;
     } else {
       const std::uint32_t end = seq + static_cast<std::uint32_t>(p.payload.size());
@@ -586,31 +617,20 @@ void TcpConnection::handle_payload(const net::Packet& p) {
 }
 
 void TcpConnection::collect_in_order(std::vector<std::uint8_t>& ready) {
-  bool progressed = true;
-  while (progressed) {
-    progressed = false;
-    for (auto it = ooo_.begin(); it != ooo_.end();) {
-      const std::uint32_t seg_seq = it->first;
-      const auto& bytes = it->second;
-      const std::uint32_t seg_end =
-          seg_seq + static_cast<std::uint32_t>(bytes.size());
-      if (seq_le(seg_end, rcv_nxt_)) {
-        it = ooo_.erase(it);  // fully duplicate
-        continue;
-      }
-      if (seq_gt(seg_seq, rcv_nxt_)) {
-        ++it;  // still a hole before this one
-        continue;
-      }
-      const std::size_t skip = rcv_nxt_ - seg_seq;
-      ready.insert(ready.end(), bytes.begin() + static_cast<std::ptrdiff_t>(skip),
-                   bytes.end());
+  // In sequence order, each queued segment either lies wholly behind
+  // rcv_nxt_ (a duplicate), extends the run, or starts past a hole, which
+  // ends the walk; everything before the hole is consumed.
+  auto it = ooo_.begin();
+  for (; it != ooo_.end() && !seq_gt(it->seq, rcv_nxt_); ++it) {
+    const std::uint32_t seg_end = it->seq + static_cast<std::uint32_t>(it->bytes.size());
+    if (seq_gt(seg_end, rcv_nxt_)) {
+      const std::size_t skip = rcv_nxt_ - it->seq;
+      ready.insert(ready.end(), it->bytes.begin() + static_cast<std::ptrdiff_t>(skip),
+                   it->bytes.end());
       rcv_nxt_ = seg_end;
-      ooo_.erase(it);
-      progressed = true;  // rescan: map is keyed by raw value, not seq order
-      break;
     }
   }
+  ooo_.erase(ooo_.begin(), it);
 }
 
 }  // namespace h2sim::tcp

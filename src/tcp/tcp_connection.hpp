@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <optional>
 #include <span>
 #include <string>
@@ -90,14 +89,25 @@ class TcpConnection {
   std::size_t unsent_bytes() const {
     return (buf_seq_ + static_cast<std::uint32_t>(send_buf_bytes())) - snd_nxt_;
   }
+  /// Transmitted ranges awaiting acknowledgment and buffered out-of-order
+  /// segments; both are empty once every byte is acked and delivered.
+  std::size_t retransmit_queue_size() const { return tx_queue_.size() - tx_head_; }
+  std::size_t reassembly_queue_size() const { return ooo_.size(); }
   std::size_t cwnd() const { return cwnd_; }
   sim::Duration current_rto() const { return rto_; }
 
  private:
+  /// A transmitted range [seq, end_seq) awaiting acknowledgment.
   struct TxRecord {
+    std::uint32_t seq;
     std::uint32_t end_seq;
     sim::TimePoint first_tx;
     int tx_count = 1;
+  };
+  /// An out-of-order segment held until the hole before it fills.
+  struct OooSegment {
+    std::uint32_t seq;
+    std::vector<std::uint8_t> bytes;
   };
 
   void emit(std::uint8_t flags, std::uint32_t seq, std::size_t payload_len,
@@ -105,6 +115,8 @@ class TcpConnection {
   void send_ack();
   void try_send();
   void retransmit_from(std::uint32_t seq, const char* why, bool rto_driven);
+  /// First queued retransmit record that does not start before `seq`.
+  std::vector<TxRecord>::iterator tx_lower_bound(std::uint32_t seq);
   void handle_ack(const net::Packet& p);
   void handle_payload(const net::Packet& p);
   void on_new_ack(std::uint32_t ack, std::size_t newly_acked);
@@ -149,7 +161,11 @@ class TcpConnection {
   bool fin_sent_ = false;
   std::uint32_t fin_seq_ = 0;
 
-  std::map<std::uint32_t, TxRecord> tx_records_;
+  // Retransmit queue in sequence order of `seq` (relative to snd_una_), with
+  // a consumed-head offset like send_buf_: an ACK visits only the records
+  // that start before it, since only those can end at or before it.
+  std::vector<TxRecord> tx_queue_;
+  std::size_t tx_head_ = 0;
   sim::Duration rto_;
   sim::Duration srtt_ = sim::Duration::zero();
   sim::Duration rttvar_ = sim::Duration::zero();
@@ -161,7 +177,9 @@ class TcpConnection {
   // --- Receiver ---
   std::uint32_t irs_ = 0;
   std::uint32_t rcv_nxt_ = 0;
-  std::map<std::uint32_t, std::vector<std::uint8_t>> ooo_;
+  // Reassembly queue in sequence order (all entries start after rcv_nxt_
+  // between segments); collect_in_order consumes it from the front.
+  std::vector<OooSegment> ooo_;
   std::optional<std::uint32_t> remote_fin_seq_;
   std::uint32_t last_ack_sent_ = 0;
 

@@ -2,6 +2,7 @@
 
 #include <deque>
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -21,15 +22,20 @@ class TcpPair : public ::testing::Test {
     client_ = std::make_unique<TcpConnection>(
         loop_, cfg_, 1, 1000, 2, 443,
         [this](net::Packet&& p) { transmit(std::move(p), /*to_server=*/true); },
-        1000);
+        client_iss_);
     server_ = std::make_unique<TcpConnection>(
         loop_, cfg_, 2, 443, 1, 1000,
         [this](net::Packet&& p) { transmit(std::move(p), /*to_server=*/false); },
-        5000);
+        server_iss_);
   }
 
   void transmit(net::Packet&& p, bool to_server) {
     if (filter_ && !filter_(p, to_server)) return;  // dropped by the test
+    deliver(std::move(p), to_server);
+  }
+
+  /// Puts a packet on the wire, bypassing the filter.
+  void deliver(net::Packet p, bool to_server) {
     loop_.schedule_after(delay_, [this, p = std::move(p), to_server]() mutable {
       (to_server ? *server_ : *client_).handle_segment(p);
     });
@@ -54,10 +60,23 @@ class TcpPair : public ::testing::Test {
 
   sim::EventLoop loop_;
   TcpConfig cfg_;
+  std::uint32_t client_iss_ = 1000;
+  std::uint32_t server_iss_ = 5000;
   sim::Duration delay_ = sim::Duration::millis(5);
   std::function<bool(const net::Packet&, bool to_server)> filter_;
   std::unique_ptr<TcpConnection> client_;
   std::unique_ptr<TcpConnection> server_;
+};
+
+/// Initial sequence numbers just below 2^32, so both byte streams cross the
+/// sequence wrap within their first few segments.
+class TcpPairWrap : public TcpPair {
+ protected:
+  void SetUp() override {
+    client_iss_ = 0xFFFFF000u;  // wraps inside the client's 3rd data segment
+    server_iss_ = 0xFFFFFF00u;  // wraps inside the server's 1st data segment
+    TcpPair::SetUp();
+  }
 };
 
 TEST_F(TcpPair, ThreeWayHandshake) {
@@ -150,6 +169,70 @@ TEST_F(TcpPair, LoneLossRecoversViaRto) {
   run_for(10);
   EXPECT_EQ(received.size(), 500u);
   EXPECT_GE(client_->stats().retransmits_rto, 1u);
+}
+
+// Around the wrap, the retransmit and reassembly queues hold ranges whose raw
+// 32-bit values are out of sequence order. Mangle each direction's first
+// transmissions there: drop data segment 2, swap segments 4 and 5, and
+// duplicate segment 6. Both streams must still arrive intact.
+TEST_F(TcpPairWrap, TransferAcrossSequenceWrap) {
+  std::vector<std::uint8_t> at_server, at_client;
+  TcpConnection::Callbacks scb;
+  scb.on_data = [&](std::span<const std::uint8_t> b) {
+    at_server.insert(at_server.end(), b.begin(), b.end());
+  };
+  server_->set_callbacks(std::move(scb));
+  TcpConnection::Callbacks ccb;
+  ccb.on_data = [&](std::span<const std::uint8_t> b) {
+    at_client.insert(at_client.end(), b.begin(), b.end());
+  };
+  client_->set_callbacks(std::move(ccb));
+  establish();
+
+  struct Direction {
+    int data_segments = 0;
+    std::optional<net::Packet> held;
+  };
+  Direction dir[2];  // [to_server]
+  filter_ = [&](const net::Packet& p, bool to_server) {
+    if (p.payload.empty() || p.is_retransmission) return true;
+    Direction& d = dir[to_server];
+    switch (++d.data_segments) {
+      case 2:
+        return false;
+      case 4:  // held back, then sent right after segment 5
+        d.held = p;
+        return false;
+      case 5:
+        deliver(p, to_server);
+        deliver(std::move(*d.held), to_server);
+        return false;
+      case 6:  // an extra copy ahead of the original
+        deliver(p, to_server);
+        return true;
+      default:
+        return true;
+    }
+  };
+
+  const auto up = bytes(512 * 1024, 11);
+  const auto down = bytes(512 * 1024, 97);
+  client_->send(up);
+  server_->send(down);
+  run_for(20);
+
+  EXPECT_EQ(at_server, up);
+  EXPECT_EQ(at_client, down);
+  for (const TcpConnection* c : {client_.get(), server_.get()}) {
+    EXPECT_GE(c->stats().retransmits_fast, 1u);
+    // One loss, one retransmission: the receiver joined every buffered
+    // segment once the hole filled, whichever side of the wrap it began on.
+    EXPECT_EQ(c->stats().total_retransmits(), 1u);
+    EXPECT_GE(c->stats().out_of_order_segments, 1u);
+    EXPECT_EQ(c->bytes_in_flight(), 0u);
+    EXPECT_EQ(c->retransmit_queue_size(), 0u);
+    EXPECT_EQ(c->reassembly_queue_size(), 0u);
+  }
 }
 
 TEST_F(TcpPair, CwndGrowsInSlowStart) {

@@ -63,6 +63,36 @@ TEST_F(TcpTimerTest, RtoConvergesTowardsRttAfterSamples) {
   EXPECT_EQ(client_->current_rto().to_millis(), cfg_.min_rto.to_millis());
 }
 
+TEST_F(TcpTimerTest, KarnRuleSkipsRttSampleOnRetransmittedRange) {
+  establish();
+  for (int i = 0; i < 10; ++i) {
+    client_->send(std::vector<std::uint8_t>(500, 1));
+    run_for(0.1);
+  }
+  const sim::Duration clean_rto = client_->current_rto();
+
+  // Lose the next segment once; the lone segment in flight can only be
+  // recovered by the retransmission timer.
+  bool dropped = false;
+  filter_ = [&](const net::Packet& p, bool to_server) {
+    if (to_server && !p.payload.empty() && !dropped) {
+      dropped = true;
+      return false;
+    }
+    return true;
+  };
+  client_->send(std::vector<std::uint8_t>(500, 2));
+  run_for(2.0);
+  ASSERT_TRUE(dropped);
+  ASSERT_EQ(client_->stats().retransmits_rto, 1u);
+  ASSERT_EQ(client_->bytes_in_flight(), 0u);
+
+  // The ACK of the retransmission is ambiguous: timed from the original
+  // send it would read RTO + RTT (>= 210 ms) and push the RTO well above the
+  // clean value, so it must not be sampled.
+  EXPECT_EQ(client_->current_rto().count_nanos(), clean_rto.count_nanos());
+}
+
 TEST_F(TcpTimerTest, BackoffIsCappedDuringBlackout) {
   establish();
   client_->send(std::vector<std::uint8_t>(500, 1));
