@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "analysis/stats.hpp"
+#include "cli_args.hpp"
 #include "experiment/harness.hpp"
 #include "experiment/table_printer.hpp"
 #include "sweep_util.hpp"
@@ -18,7 +19,7 @@
 int main(int argc, char** argv) {
   using namespace h2sim;
   using experiment::TablePrinter;
-  const int trials = bench::trials_arg(argc, argv, 30);
+  const int trials = examples::CliArgs(argc, argv, "[trials]").trials(1, 30);
   bench::SweepSession sweep("bench_ablation_wu");
 
   TablePrinter table({"client WU batch", "wire retransmissions (mean)",

@@ -9,13 +9,14 @@
 #include <vector>
 
 #include "analysis/stats.hpp"
+#include "cli_args.hpp"
 #include "experiment/harness.hpp"
 #include "experiment/table_printer.hpp"
 #include "sweep_util.hpp"
 
 int main(int argc, char** argv) {
   using namespace h2sim;
-  const int trials = bench::trials_arg(argc, argv, 100);
+  const int trials = examples::CliArgs(argc, argv, "[trials]").trials(1, 100);
   bench::SweepSession sweep("bench_baseline_dom");
 
   experiment::TrialConfig proto;

@@ -30,13 +30,13 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "analysis/padding.hpp"
+#include "cli_args.hpp"
 #include "defense/defenses.hpp"
 #include "experiment/harness.hpp"
 #include "experiment/table_printer.hpp"
@@ -69,12 +69,10 @@ struct TrialProbe {
 
 int main(int argc, char** argv) {
   using experiment::TablePrinter;
-  const int trials = bench::trials_arg(argc, argv, 8);
-  const bool smoke = argc > 2 && std::strcmp(argv[2], "smoke") == 0;
-  if (argc > 2 && !smoke && std::strcmp(argv[2], "full") != 0) {
-    std::fprintf(stderr, "usage: %s [trials_per_cell] [full|smoke]\n", argv[0]);
-    return 2;
-  }
+  const examples::CliArgs args(argc, argv, "[trials_per_cell] [full|smoke]");
+  const int trials = args.trials(1, 8);
+  const bool smoke =
+      args.choice(2, "full", "mode", {"full", "smoke"}) == "smoke";
 
   // The public site: source of the attacker's ground truth and of the
   // constrained plan (compiled offline at a 10% bandwidth budget, exactly

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "analysis/stats.hpp"
+#include "cli_args.hpp"
 #include "defense/defenses.hpp"
 #include "experiment/harness.hpp"
 #include "experiment/table_printer.hpp"
@@ -28,7 +29,7 @@ struct DefenseRow {
 int main(int argc, char** argv) {
   using namespace h2sim;
   using experiment::TablePrinter;
-  const int trials = bench::trials_arg(argc, argv, 30);
+  const int trials = examples::CliArgs(argc, argv, "[trials]").trials(1, 30);
   bench::SweepSession sweep("bench_defenses");
 
   const DefenseRow rows[] = {

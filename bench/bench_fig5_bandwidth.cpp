@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "analysis/stats.hpp"
+#include "cli_args.hpp"
 #include "experiment/harness.hpp"
 #include "experiment/table_printer.hpp"
 #include "sweep_util.hpp"
@@ -18,7 +19,7 @@
 int main(int argc, char** argv) {
   using namespace h2sim;
   using experiment::TablePrinter;
-  const int trials = bench::trials_arg(argc, argv, 100);
+  const int trials = examples::CliArgs(argc, argv, "[trials]").trials(1, 100);
   bench::SweepSession sweep("bench_fig5_bandwidth");
 
   // The paper's sweep plus one point past its 1 Mbps floor ("it was not

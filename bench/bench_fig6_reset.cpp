@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "analysis/stats.hpp"
+#include "cli_args.hpp"
 #include "experiment/harness.hpp"
 #include "experiment/table_printer.hpp"
 #include "sweep_util.hpp"
@@ -16,7 +17,7 @@
 int main(int argc, char** argv) {
   using namespace h2sim;
   using experiment::TablePrinter;
-  const int trials = bench::trials_arg(argc, argv, 100);
+  const int trials = examples::CliArgs(argc, argv, "[trials]").trials(1, 100);
   bench::SweepSession sweep("bench_fig6_reset");
 
   const double rates[] = {0.5, 0.65, 0.8, 0.9, 0.95};

@@ -7,13 +7,13 @@
 // boundary detector on the observed records.
 
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <vector>
 
 #include "analysis/boundary.hpp"
 #include "analysis/predictor.hpp"
 #include "attack/monitor.hpp"
+#include "cli_args.hpp"
 #include "experiment/table_printer.hpp"
 #include "http/http1.hpp"
 #include "net/topology.hpp"
@@ -24,7 +24,7 @@
 using namespace h2sim;
 
 int main(int argc, char** argv) {
-  const int trials = argc > 1 ? std::atoi(argv[1]) : 20;
+  const int trials = examples::CliArgs(argc, argv, "[trials]").trials(1, 20);
   const web::Website site = web::make_isidewith_site();
 
   int emblem_hits = 0, emblem_total = 0, order_hits = 0;

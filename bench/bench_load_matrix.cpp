@@ -21,10 +21,10 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
+#include "cli_args.hpp"
 #include "experiment/harness.hpp"
 #include "experiment/scenario.hpp"
 #include "experiment/sink.hpp"
@@ -52,9 +52,10 @@ std::vector<int> parse_counts(const char* csv) {
 int main(int argc, char** argv) {
   using namespace h2sim;
   using experiment::TablePrinter;
-  const int trials = bench::trials_arg(argc, argv, 16);
+  const examples::CliArgs args(argc, argv, "[trials_per_cell] [counts_csv]");
+  const int trials = args.trials(1, 16);
   const std::vector<int> counts =
-      parse_counts(argc > 2 ? argv[2] : "1,8,64,256");
+      parse_counts(args.str(2, "1,8,64,256").c_str());
   if (counts.empty()) {
     std::fprintf(stderr, "usage: %s [trials_per_cell] [counts_csv]\n", argv[0]);
     return 2;

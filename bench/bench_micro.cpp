@@ -24,7 +24,6 @@
 #include "obs/trace.hpp"
 #include "sim/event_loop.hpp"
 #include "sim/random.hpp"
-#include "sim/snapshot.hpp"
 #include "tcp/tcp_connection.hpp"
 #include "tls/record.hpp"
 #include "tls/session.hpp"
@@ -453,78 +452,6 @@ void BM_TcpBulkTransfer(benchmark::State& state) {
       static_cast<double>(segments ? segments : 1));
 }
 BENCHMARK(BM_TcpBulkTransfer)->Arg(64 << 10)->Arg(1 << 20)->Unit(benchmark::kMillisecond);
-
-// The in-process snapshot primitive behind trial forking: capture the full
-// mutable state of a warmed event loop (slab + wheel + near-heap + payload
-// pool, with every pending callback cloned). Capture allocates freely by
-// contract; this bench prices it and reports the image footprint.
-void BM_SnapshotFork(benchmark::State& state) {
-  sim::EventLoop loop;
-  constexpr int kEvents = 1024;
-  int fired = 0;
-  // A pending schedule spanning all three wheel levels, like a mid-trial
-  // loop: the snapshot must carry every live slot and bucket link.
-  for (int i = 0; i < kEvents; ++i) {
-    sim::Duration d = sim::Duration::micros(37 * (i % 19) + 1);
-    if (i % 61 == 0) d = sim::Duration::millis(200 + i % 7);
-    if (i % 257 == 0) d = sim::Duration::seconds(2);
-    loop.schedule_after(d, [&fired] { ++fired; });
-  }
-
-  std::size_t bytes = 0;
-  for (auto _ : state) {
-    sim::Snapshot snap;
-    if (!snap.capture(loop)) std::abort();  // lambdas above are copyable
-    bytes = snap.bytes();
-    benchmark::DoNotOptimize(snap);
-  }
-  state.SetItemsProcessed(state.iterations() * kEvents);
-  state.counters["snapshot_bytes"] =
-      benchmark::Counter(static_cast<double>(bytes));
-}
-BENCHMARK(BM_SnapshotFork);
-
-// Restore is the per-seed cost when branching a schedule in-process, so it
-// must be O(live state) with zero steady-state heap allocations: after the
-// first restore has grown the destination arenas to the image's shape,
-// rewinding must never touch the heap (`allocs_per_restore` == 0). Each
-// iteration restores, runs a slice of the schedule to mutate the loop, and
-// restores again from the same image — the fork-per-seed pattern.
-void BM_SnapshotRestore(benchmark::State& state) {
-  sim::EventLoop loop;
-  constexpr int kEvents = 1024;
-  int fired = 0;
-  for (int i = 0; i < kEvents; ++i) {
-    sim::Duration d = sim::Duration::micros(37 * (i % 19) + 1);
-    if (i % 61 == 0) d = sim::Duration::millis(200 + i % 7);
-    if (i % 257 == 0) d = sim::Duration::seconds(2);
-    loop.schedule_after(d, [&fired] { ++fired; });
-  }
-  sim::Snapshot snap;
-  if (!snap.capture(loop)) std::abort();
-  // Warm-up: consume part of the schedule, then restore once so the
-  // destination arenas match the image's shape.
-  loop.run(loop.now() + sim::Duration::millis(1));
-  snap.restore(loop);
-
-  std::uint64_t allocs = 0;
-  for (auto _ : state) {
-    loop.run(loop.now() + sim::Duration::millis(1));  // diverge
-    const std::uint64_t before = g_heap_allocs.load(std::memory_order_relaxed);
-    snap.restore(loop);
-    allocs += g_heap_allocs.load(std::memory_order_relaxed) - before;
-    benchmark::DoNotOptimize(fired);
-  }
-  state.SetItemsProcessed(state.iterations() * kEvents);
-  state.counters["allocs_per_restore"] = benchmark::Counter(
-      static_cast<double>(allocs) / static_cast<double>(state.iterations()));
-  state.counters["snapshot_bytes"] =
-      benchmark::Counter(static_cast<double>(snap.bytes()));
-  if (allocs != 0) {
-    state.SkipWithError("snapshot restore touched the heap at steady state");
-  }
-}
-BENCHMARK(BM_SnapshotRestore);
 
 void BM_RngU64(benchmark::State& state) {
   sim::Rng rng(1);

@@ -11,6 +11,7 @@
 #include "analysis/boundary.hpp"
 #include "analysis/partial.hpp"
 #include "analysis/stats.hpp"
+#include "cli_args.hpp"
 #include "experiment/harness.hpp"
 #include "experiment/table_printer.hpp"
 #include "sweep_util.hpp"
@@ -83,7 +84,7 @@ Scores run_mode(h2sim::bench::SweepSession& sweep, bool attack_on, int trials) {
 int main(int argc, char** argv) {
   using namespace h2sim;
   using experiment::TablePrinter;
-  const int trials = bench::trials_arg(argc, argv, 30);
+  const int trials = examples::CliArgs(argc, argv, "[trials]").trials(1, 30);
   bench::SweepSession sweep("bench_partial_inference");
 
   const Scores base = run_mode(sweep, false, trials);

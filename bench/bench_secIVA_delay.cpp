@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "analysis/stats.hpp"
+#include "cli_args.hpp"
 #include "experiment/harness.hpp"
 #include "experiment/table_printer.hpp"
 #include "sweep_util.hpp"
@@ -15,7 +16,7 @@
 int main(int argc, char** argv) {
   using namespace h2sim;
   using experiment::TablePrinter;
-  const int trials = bench::trials_arg(argc, argv, 60);
+  const int trials = examples::CliArgs(argc, argv, "[trials]").trials(1, 60);
   bench::SweepSession sweep("bench_secIVA_delay");
 
   TablePrinter table({"uniform extra delay", "html DoM (mean)",

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "analysis/stats.hpp"
+#include "cli_args.hpp"
 #include "experiment/harness.hpp"
 #include "experiment/table_printer.hpp"
 #include "sweep_util.hpp"
@@ -34,7 +35,7 @@ struct Series {
 int main(int argc, char** argv) {
   using namespace h2sim;
   using experiment::TablePrinter;
-  const int trials = bench::trials_arg(argc, argv, 100);
+  const int trials = examples::CliArgs(argc, argv, "[trials]").trials(1, 100);
   bench::SweepSession sweep("bench_table1_jitter");
 
   const int jitters_ms[] = {0, 25, 50, 100};

@@ -99,12 +99,6 @@ struct TrialConfig {
   /// sweep shared it.
   std::shared_ptr<const web::Website> prebuilt_site;
 
-  /// Fork-cell tag (see experiment/fork.hpp): configs sharing one tag
-  /// promise to differ only by seed, letting the forked runner build their
-  /// shared prefix once. Inert unless RunOptions::fork is set; never
-  /// changes a trial's result.
-  std::shared_ptr<const struct ForkCell> fork_cell;
-
   static net::Path::Config default_path();
   static h2::ConnectionConfig default_server_h2();
   static h2::ConnectionConfig default_client_h2();

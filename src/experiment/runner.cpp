@@ -7,7 +7,6 @@
 #include <thread>
 #include <utility>
 
-#include "experiment/fork.hpp"
 #include "experiment/scenario.hpp"
 #include "experiment/sink.hpp"
 
@@ -131,10 +130,6 @@ std::vector<TrialResult> run_trials(std::span<const TrialConfig> cfgs,
   if (static_cast<std::size_t>(jobs) > total) jobs = static_cast<int>(total);
 
   const std::vector<TrialConfig> shared = share_prebuilt_sites(cfgs);
-
-  if (opts.fork && fork_supported(opts)) {
-    return run_trials_forked(shared, opts);
-  }
 
   const auto wall_start = std::chrono::steady_clock::now();
   auto elapsed = [&wall_start] {

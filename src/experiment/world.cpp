@@ -1,9 +1,7 @@
 #include "experiment/world.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <chrono>
-#include <cstdio>
 
 #include "analysis/boundary.hpp"
 #include "defense/defenses.hpp"
@@ -15,71 +13,8 @@ namespace h2sim::experiment {
 
 using sim::Duration;
 
-bool replay_stream(sim::Rng& rng, const std::vector<sim::Rng::Draw>& log,
-                   bool strict, std::string* why) {
-  using Op = sim::Rng::Op;
-  const auto d2u = [](double v) { return std::bit_cast<std::uint64_t>(v); };
-  const auto u2d = [](std::uint64_t v) { return std::bit_cast<double>(v); };
-  for (std::size_t i = 0; i < log.size(); ++i) {
-    const sim::Rng::Draw& d = log[i];
-    std::uint64_t got = 0;
-    switch (d.op) {
-      case Op::kNextU64:
-        got = rng.next_u64();
-        break;
-      case Op::kUniform:
-        got = rng.uniform(d.p0);
-        break;
-      case Op::kUniformInt:
-        got = static_cast<std::uint64_t>(rng.uniform_int(
-            static_cast<std::int64_t>(d.p0), static_cast<std::int64_t>(d.p1)));
-        break;
-      case Op::kUniform01:
-        got = d2u(rng.uniform01());
-        break;
-      case Op::kUniformReal:
-        got = d2u(rng.uniform_real(u2d(d.p0), u2d(d.p1)));
-        break;
-      case Op::kBernoulli:
-        got = rng.bernoulli(u2d(d.p0)) ? 1 : 0;
-        break;
-      case Op::kExponential:
-        got = d2u(rng.exponential(u2d(d.p0)));
-        break;
-      case Op::kGaussian:
-        got = d2u(rng.gaussian(u2d(d.p0), u2d(d.p1)));
-        break;
-      case Op::kSplit:
-        // A prefix split hands an unaudited child to some component; the
-        // child's future draws cannot be validated, so a strict stream must
-        // refuse (tolerant streams just advance the parent identically).
-        (void)rng.split();
-        if (strict) {
-          if (why) *why = "stream split during the shared prefix";
-          return false;
-        }
-        continue;
-    }
-    if (strict && got != d.result) {
-      if (why) {
-        char buf[96];
-        std::snprintf(buf, sizeof(buf),
-                      "draw %zu (op %d) diverges for this seed", i,
-                      static_cast<int>(d.op));
-        *why = buf;
-      }
-      return false;
-    }
-  }
-  return true;
-}
-
-TrialWorld::TrialWorld(const TrialConfig& cfg, sim::Rng::Audit* const* audits)
+TrialWorld::TrialWorld(const TrialConfig& cfg)
     : cfg_(cfg), rng_server_h2_(0), rng_app_(0) {
-  const auto audit_for = [audits](StreamId id) -> sim::Rng::Audit* {
-    return audits ? audits[static_cast<int>(id)] : nullptr;
-  };
-
   // Root split order is load-bearing: the behavior-golden digests pin it.
   sim::Rng root(cfg_.seed);
   sim::Rng rng_perm = root.split();
@@ -90,17 +25,6 @@ TrialWorld::TrialWorld(const TrialConfig& cfg, sim::Rng::Audit* const* audits)
   rng_app_ = root.split();
   sim::Rng rng_browser = root.split();
   sim::Rng rng_attack = root.split();
-
-  // Audits go on *before* components copy their streams (the copies inherit
-  // the pointer), so even construction-time draws — the client ISS inside
-  // connect() below — are recorded.
-  rng_server_stack.set_audit(audit_for(StreamId::kServerStack));
-  rng_client_stack.set_audit(audit_for(StreamId::kClientStack));
-  rng_server_h2_.set_audit(audit_for(StreamId::kServerH2));
-  rng_client_h2.set_audit(audit_for(StreamId::kClientH2));
-  rng_app_.set_audit(audit_for(StreamId::kApp));
-  rng_browser.set_audit(audit_for(StreamId::kBrowser));
-  rng_attack.set_audit(audit_for(StreamId::kAttack));
 
   // The user's survey result: a uniformly random party ranking.
   std::vector<int> perm_v = {0, 1, 2, 3, 4, 5, 6, 7};
@@ -117,14 +41,6 @@ TrialWorld::TrialWorld(const TrialConfig& cfg, sim::Rng::Audit* const* audits)
   topo_ = std::make_unique<net::Topology>(
       loop_, net::Topology::Config{pcfg.client_side, pcfg.server_side,
                                    1 + static_cast<std::size_t>(n_background_)});
-  topo_->client_to_mb(0).loss_rng().set_audit(
-      audit_for(StreamId::kLossClientToMb));
-  topo_->mb_to_server().loss_rng().set_audit(
-      audit_for(StreamId::kLossMbToServer));
-  topo_->server_to_mb().loss_rng().set_audit(
-      audit_for(StreamId::kLossServerToMb));
-  topo_->mb_to_client(0).loss_rng().set_audit(
-      audit_for(StreamId::kLossMbToClient));
 
   server_stack_ = std::make_unique<tcp::TcpStack>(
       loop_, rng_server_stack, net::Topology::kServerNode, tcp_cfg_,
@@ -278,125 +194,6 @@ TrialWorld::TrialWorld(const TrialConfig& cfg, sim::Rng::Audit* const* audits)
 
 void TrialWorld::run_to_limit() {
   loop_.run(sim::TimePoint::origin() + cfg_.sim_limit);
-}
-
-sim::Rng& TrialWorld::stream(StreamId id) {
-  switch (id) {
-    case StreamId::kClientStack:
-      return client_stack_->rng();
-    case StreamId::kServerStack:
-      return server_stack_->rng();
-    case StreamId::kClientH2:
-      return client_conn_->rng();
-    case StreamId::kServerH2:
-      return rng_server_h2_;
-    case StreamId::kApp:
-      return rng_app_;
-    case StreamId::kBrowser:
-      return browser_->rng();
-    case StreamId::kAttack:
-      return pipeline_->controller().rng();
-    case StreamId::kLossClientToMb:
-      return topo_->client_to_mb(0).loss_rng();
-    case StreamId::kLossMbToServer:
-      return topo_->mb_to_server().loss_rng();
-    case StreamId::kLossServerToMb:
-      return topo_->server_to_mb().loss_rng();
-    case StreamId::kLossMbToClient:
-      return topo_->mb_to_client(0).loss_rng();
-    case StreamId::kCount:
-      break;
-  }
-  return rng_server_h2_;  // unreachable
-}
-
-bool TrialWorld::reseed(
-    std::uint64_t new_seed,
-    const std::array<std::vector<sim::Rng::Draw>, kStreamCount>& logs,
-    std::string* why) {
-  const auto log_for = [&logs](StreamId id) -> const std::vector<sim::Rng::Draw>& {
-    return logs[static_cast<std::size_t>(id)];
-  };
-  const auto fail = [why](StreamId id, const std::string& detail) {
-    if (why) {
-      *why = "stream " + std::to_string(static_cast<int>(id)) + ": " + detail;
-    }
-    return false;
-  };
-
-  // Derive the new seed's streams exactly as construction would have. (The
-  // rng_defense split only exists when dummies are injected; that config is
-  // structurally ineligible for forking, so it never reaches reseed.)
-  sim::Rng root(new_seed);
-  sim::Rng rng_perm = root.split();
-  sim::Rng f_server_stack = root.split();
-  sim::Rng f_client_stack = root.split();
-  sim::Rng f_server_h2 = root.split();
-  sim::Rng f_client_h2 = root.split();
-  sim::Rng f_app = root.split();
-  sim::Rng f_browser = root.split();
-  sim::Rng f_attack = root.split();
-
-  std::vector<int> perm_v = {0, 1, 2, 3, 4, 5, 6, 7};
-  rng_perm.shuffle(perm_v);
-  std::array<int, 8> perm{};
-  std::copy(perm_v.begin(), perm_v.end(), perm.begin());
-
-  constexpr std::uint64_t kGolden = 0x9e3779b97f4a7c15ULL;
-  const std::uint64_t client_base = cfg_.path.client_side.loss_seed ^ new_seed;
-  const std::uint64_t server_base =
-      cfg_.path.server_side.loss_seed ^ (new_seed * 0x9e3779b9ULL);
-  sim::Rng f_c2m(client_base ^ (1 * kGolden));
-  sim::Rng f_m2s(server_base ^ (2 * kGolden));
-  sim::Rng f_s2m(server_base ^ (3 * kGolden));
-  sim::Rng f_m2c(client_base ^ (4 * kGolden));
-
-  // Replay into the fresh streams first; nothing in the live world mutates
-  // until every stream has validated, so a per-seed refusal leaves the
-  // prefix world pristine for the next seed.
-  std::string detail;
-  struct Item {
-    StreamId id;
-    sim::Rng* fresh;
-    bool strict;
-  };
-  const Item items[] = {
-      // The ISS streams are tolerant: their values name TCP sequence
-      // numbers, which never reach a TrialResult field or digest.
-      {StreamId::kClientStack, &f_client_stack, false},
-      {StreamId::kServerStack, &f_server_stack, false},
-      {StreamId::kClientH2, &f_client_h2, true},
-      {StreamId::kServerH2, &f_server_h2, true},
-      {StreamId::kApp, &f_app, true},
-      {StreamId::kBrowser, &f_browser, true},
-      {StreamId::kAttack, &f_attack, true},
-      {StreamId::kLossClientToMb, &f_c2m, true},
-      {StreamId::kLossMbToServer, &f_m2s, true},
-      {StreamId::kLossServerToMb, &f_s2m, true},
-      {StreamId::kLossMbToClient, &f_m2c, true},
-  };
-  for (const Item& it : items) {
-    if (!replay_stream(*it.fresh, log_for(it.id), it.strict, &detail)) {
-      return fail(it.id, detail);
-    }
-  }
-
-  // Structural check + swap of the browser's seed state (refusal here means
-  // the fork point was past a seed-resolved request — a property of the
-  // marker, not of this seed, so the world was never viable for forking).
-  if (!browser_->reseed(perm, f_browser, &detail)) {
-    return fail(StreamId::kBrowser, detail);
-  }
-
-  // Commit. Assignment copies the fresh streams' null audit pointers, so
-  // recording stops on every stream at once.
-  for (const Item& it : items) {
-    if (it.id == StreamId::kBrowser) continue;  // swapped above
-    stream(it.id) = *it.fresh;
-  }
-  perm_ = perm;
-  cfg_.seed = new_seed;
-  return true;
 }
 
 TrialResult TrialWorld::finish() {

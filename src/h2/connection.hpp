@@ -121,11 +121,6 @@ class Connection {
     frame_tap_ = std::move(tap);
   }
 
-  /// The connection's scheduler stream (kRandom/kWeighted draws). Exposed so
-  /// the trial-forking machinery can audit and re-seed it; not for general
-  /// use.
-  sim::Rng& rng() { return rng_; }
-
  protected:
   // --- Hooks for the semantic layer ---
   virtual void on_remote_headers(std::uint32_t stream_id,

@@ -80,10 +80,6 @@ class Link {
   const Stats& stats() const { return stats_; }
   const std::string& name() const { return name_; }
 
-  /// The link's loss stream. Exposed so the trial-forking machinery can
-  /// audit and re-seed it; not for general use.
-  sim::Rng& loss_rng() { return loss_rng_; }
-
  private:
   /// A packet waiting for the serializer: it stops counting against the
   /// queue limit the moment its transmission starts.

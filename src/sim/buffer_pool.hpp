@@ -61,8 +61,6 @@ class BufferPool {
   const Stats& stats() const { return stats_; }
 
  private:
-  friend class Snapshot;
-
   std::vector<std::vector<std::uint8_t>> free_;
   Stats stats_;
 };

@@ -67,29 +67,12 @@ class InlineCallback {
   /// lives in a heap box (one allocation the loop's AllocStats records).
   bool on_heap() const { return ops_ != nullptr && ops_->heap; }
 
-  /// True when the wrapped callable is copy-constructible, i.e. clone() can
-  /// duplicate it. Callables capturing move-only state are not clonable and
-  /// block a sim::Snapshot of the slot that holds them.
-  bool clonable() const { return ops_ != nullptr && ops_->clone != nullptr; }
-
-  /// Duplicates the callable (copy-construct; for heap-boxed callables the
-  /// clone allocates a fresh box). Precondition: clonable().
-  InlineCallback clone() const {
-    InlineCallback out;
-    ops_->clone(out.storage_, storage_);
-    out.ops_ = ops_;
-    return out;
-  }
-
  private:
   struct Ops {
     void (*invoke)(void* storage);
     /// Move-construct into dst's storage from src's storage, destroying src.
     void (*relocate)(void* dst, void* src);
     void (*destroy)(void* storage);
-    /// Copy-construct into dst's storage from src's; null when the callable
-    /// type is not copy-constructible.
-    void (*clone)(void* dst, const void* src);
     bool heap;
   };
 
@@ -100,28 +83,6 @@ class InlineCallback {
   }
 
   template <typename D>
-  static constexpr auto clone_inline() {
-    if constexpr (std::is_copy_constructible_v<D>) {
-      return [](void* dst, const void* src) {
-        ::new (dst) D(*static_cast<const D*>(src));
-      };
-    } else {
-      return static_cast<void (*)(void*, const void*)>(nullptr);
-    }
-  }
-
-  template <typename D>
-  static constexpr auto clone_heap() {
-    if constexpr (std::is_copy_constructible_v<D>) {
-      return [](void* dst, const void* src) {
-        ::new (dst) D*(new D(**static_cast<const D* const*>(src)));
-      };
-    } else {
-      return static_cast<void (*)(void*, const void*)>(nullptr);
-    }
-  }
-
-  template <typename D>
   static constexpr Ops kInlineOps = {
       [](void* s) { (*static_cast<D*>(s))(); },
       [](void* dst, void* src) {
@@ -129,7 +90,6 @@ class InlineCallback {
         static_cast<D*>(src)->~D();
       },
       [](void* s) { static_cast<D*>(s)->~D(); },
-      clone_inline<D>(),
       false,
   };
 
@@ -138,7 +98,6 @@ class InlineCallback {
       [](void* s) { (**static_cast<D**>(s))(); },
       [](void* dst, void* src) { *static_cast<D**>(dst) = *static_cast<D**>(src); },
       [](void* s) { delete *static_cast<D**>(s); },
-      clone_heap<D>(),
       true,
   };
 

@@ -174,17 +174,6 @@ class EventLoop {
  public:
   using Callback = InlineCallback;
 
-  /// Identity of one event in the dispatch order: the absolute firing time
-  /// plus the FIFO tie-break counter assigned at schedule time. Because seq
-  /// assignment is part of the deterministic schedule, an (at, seq) pair
-  /// names the same event across bit-identical runs — the property trial
-  /// forking leans on to stop the shared prefix "just before" the first
-  /// seed-dependent event.
-  struct EventMarker {
-    std::int64_t at_ns = 0;
-    std::uint64_t seq = 0;
-  };
-
   /// Heap-allocation events attributable to the scheduling hot path. In
   /// steady state (slab and near-heap warmed up, callbacks inline) all three
   /// stay constant while executed_events() keeps climbing.
@@ -229,18 +218,6 @@ class EventLoop {
   /// Executes exactly one event if any is pending. Returns false when idle.
   bool step();
 
-  /// Runs events that sort strictly before the (at, seq) marker, leaving the
-  /// marker event (and everything after it) pending. Unlike run(), now() is
-  /// left at the last executed event — the marker event has not fired yet.
-  std::size_t run_until_event(const EventMarker& m);
-
-  /// True while step() is inside a callback; current_event() then names the
-  /// event being dispatched. Lets instrumentation (the fork divergence
-  /// tripwire) record a replayable marker for "the event during which this
-  /// happened".
-  bool in_event() const { return in_event_; }
-  EventMarker current_event() const { return current_event_; }
-
   bool empty() const { return core_->live == 0; }
   /// Number of scheduled events that have neither fired nor been cancelled.
   std::size_t pending_events() const {
@@ -268,8 +245,6 @@ class EventLoop {
   const SchedStats& sched_stats() const { return core_->sched; }
 
  private:
-  friend class Snapshot;
-
   /// An event promoted out of the wheel: its granule has been reached and
   /// only the sub-granule (at, seq) order remains to be resolved.
   struct NearEntry {
@@ -301,8 +276,6 @@ class EventLoop {
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
   bool stopped_ = false;
-  bool in_event_ = false;
-  EventMarker current_event_{};
   std::shared_ptr<detail::SchedulerCore> core_;
   std::vector<NearEntry> near_;
   BufferPool payload_pool_;

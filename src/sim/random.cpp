@@ -1,6 +1,5 @@
 #include "sim/random.hpp"
 
-#include <bit>
 #include <cmath>
 
 namespace h2sim::sim {
@@ -15,8 +14,6 @@ std::uint64_t splitmix64(std::uint64_t& x) {
 
 std::uint64_t rotl(std::uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
 
-std::uint64_t dbits(double v) { return std::bit_cast<std::uint64_t>(v); }
-
 }  // namespace
 
 Rng::Rng(std::uint64_t seed) {
@@ -24,13 +21,9 @@ Rng::Rng(std::uint64_t seed) {
   for (auto& s : s_) s = splitmix64(x);
 }
 
-Rng Rng::split() {
-  const std::uint64_t child_seed = raw_u64() ^ 0xdeadbeefcafef00dULL;
-  record(Op::kSplit, 0, 0, 0, /*forced=*/false);
-  return Rng(child_seed);
-}
+Rng Rng::split() { return Rng(next_u64() ^ 0xdeadbeefcafef00dULL); }
 
-std::uint64_t Rng::raw_u64() {
+std::uint64_t Rng::next_u64() {
   const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
   const std::uint64_t t = s_[1] << 17;
   s_[2] ^= s_[0];
@@ -42,98 +35,57 @@ std::uint64_t Rng::raw_u64() {
   return result;
 }
 
-double Rng::raw_u01() {
-  return static_cast<double>(raw_u64() >> 11) * 0x1.0p-53;
-}
-
-std::uint64_t Rng::uniform_impl(std::uint64_t n) {
+std::uint64_t Rng::uniform(std::uint64_t n) {
   // Rejection sampling to avoid modulo bias.
   const std::uint64_t threshold = -n % n;
   for (;;) {
-    const std::uint64_t r = raw_u64();
+    const std::uint64_t r = next_u64();
     if (r >= threshold) return r % n;
   }
 }
 
-std::uint64_t Rng::next_u64() {
-  const std::uint64_t r = raw_u64();
-  record(Op::kNextU64, 0, 0, r, /*forced=*/false);
-  return r;
-}
-
-std::uint64_t Rng::uniform(std::uint64_t n) {
-  const std::uint64_t r = uniform_impl(n);
-  record(Op::kUniform, n, 0, r, /*forced=*/n == 1);
-  return r;
-}
-
 std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
   const std::uint64_t span = static_cast<std::uint64_t>(hi - lo) + 1;
-  const std::int64_t r = lo + static_cast<std::int64_t>(uniform_impl(span));
-  record(Op::kUniformInt, static_cast<std::uint64_t>(lo),
-         static_cast<std::uint64_t>(hi), static_cast<std::uint64_t>(r),
-         /*forced=*/lo == hi);
-  return r;
+  return lo + static_cast<std::int64_t>(uniform(span));
 }
 
 double Rng::uniform01() {
-  const double r = raw_u01();
-  record(Op::kUniform01, 0, 0, dbits(r), /*forced=*/false);
-  return r;
+  return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
 }
 
 double Rng::uniform_real(double lo, double hi) {
-  const double r = lo + (hi - lo) * raw_u01();
-  record(Op::kUniformReal, dbits(lo), dbits(hi), dbits(r), /*forced=*/lo == hi);
-  return r;
+  return lo + (hi - lo) * uniform01();
 }
 
 bool Rng::bernoulli(double p) {
-  // p outside (0,1) short-circuits without consuming a word, so such calls
-  // are seed-independent in both value and stream effect.
-  if (p <= 0.0) {
-    record(Op::kBernoulli, dbits(p), 0, 0, /*forced=*/true);
-    return false;
-  }
-  if (p >= 1.0) {
-    record(Op::kBernoulli, dbits(p), 0, 1, /*forced=*/true);
-    return true;
-  }
-  const bool r = raw_u01() < p;
-  record(Op::kBernoulli, dbits(p), 0, r ? 1 : 0, /*forced=*/false);
-  return r;
+  if (p <= 0.0) return false;
+  if (p >= 1.0) return true;
+  return uniform01() < p;
 }
 
 double Rng::exponential(double mean) {
   double u;
   do {
-    u = raw_u01();
+    u = uniform01();
   } while (u <= 0.0);
-  const double r = -mean * std::log(u);
-  record(Op::kExponential, dbits(mean), 0, dbits(r), /*forced=*/mean == 0.0);
-  return r;
+  return -mean * std::log(u);
 }
 
 double Rng::gaussian(double mean, double stddev) {
-  double r;
   if (have_gauss_) {
     have_gauss_ = false;
-    r = mean + stddev * gauss_cache_;
-  } else {
-    double u1, u2;
-    do {
-      u1 = raw_u01();
-    } while (u1 <= 0.0);
-    u2 = raw_u01();
-    const double mag = std::sqrt(-2.0 * std::log(u1));
-    const double two_pi = 6.283185307179586;
-    gauss_cache_ = mag * std::sin(two_pi * u2);
-    have_gauss_ = true;
-    r = mean + stddev * mag * std::cos(two_pi * u2);
+    return mean + stddev * gauss_cache_;
   }
-  record(Op::kGaussian, dbits(mean), dbits(stddev), dbits(r),
-         /*forced=*/stddev == 0.0);
-  return r;
+  double u1, u2;
+  do {
+    u1 = uniform01();
+  } while (u1 <= 0.0);
+  u2 = uniform01();
+  const double mag = std::sqrt(-2.0 * std::log(u1));
+  const double two_pi = 6.283185307179586;
+  gauss_cache_ = mag * std::sin(two_pi * u2);
+  have_gauss_ = true;
+  return mean + stddev * mag * std::cos(two_pi * u2);
 }
 
 }  // namespace h2sim::sim

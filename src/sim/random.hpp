@@ -10,47 +10,10 @@ namespace h2sim::sim {
 /// the stream is identical across standard libraries.
 class Rng {
  public:
-  /// Draw kinds, recorded at the granularity of the public API (one record
-  /// per call, never per raw word) so a recorded sequence can be replayed
-  /// against a stream with a different seed: re-executing the same op
-  /// sequence reproduces rejection-sampling word counts and the Box-Muller
-  /// cache exactly, which raw-word accounting cannot.
-  enum class Op : std::uint8_t {
-    kNextU64,
-    kUniform,
-    kUniformInt,
-    kUniform01,
-    kUniformReal,
-    kBernoulli,
-    kExponential,
-    kGaussian,
-    kSplit,
-  };
-
-  /// One recorded draw: the op, its parameters, and the produced value.
-  /// Integer params/results are stored verbatim; doubles by bit pattern.
-  struct Draw {
-    Op op = Op::kNextU64;
-    std::uint64_t p0 = 0;
-    std::uint64_t p1 = 0;
-    std::uint64_t result = 0;
-  };
-
-  /// Observer installed on a stream by the trial-forking machinery. `forced`
-  /// means the parameters admit exactly one outcome for any seed (e.g.
-  /// uniform(1), uniform_real(x, x), bernoulli(0)) — such draws advance the
-  /// stream but cannot make trials diverge.
-  class Audit {
-   public:
-    virtual ~Audit() = default;
-    virtual void on_draw(const Draw& d, bool forced) = 0;
-  };
-
   explicit Rng(std::uint64_t seed);
 
   /// Derives an independent child generator; used to give each subsystem its
-  /// own stream so adding a consumer does not perturb the others. The child
-  /// carries no audit.
+  /// own stream so adding a consumer does not perturb the others.
   Rng split();
 
   std::uint64_t next_u64();
@@ -86,27 +49,10 @@ class Rng {
     }
   }
 
-  /// Installs (or clears, with nullptr) the draw observer. Not owned; the
-  /// audit must outlive the stream or be cleared first. Copies of an audited
-  /// stream inherit the pointer — the fork machinery audits only the live,
-  /// long-lived per-subsystem instances.
-  void set_audit(Audit* audit) { audit_ = audit; }
-  Audit* audit() const { return audit_; }
-
  private:
-  std::uint64_t raw_u64();
-  double raw_u01();
-  std::uint64_t uniform_impl(std::uint64_t n);
-
-  void record(Op op, std::uint64_t p0, std::uint64_t p1, std::uint64_t result,
-              bool forced) {
-    if (audit_) audit_->on_draw(Draw{op, p0, p1, result}, forced);
-  }
-
   std::uint64_t s_[4];
   bool have_gauss_ = false;
   double gauss_cache_ = 0.0;
-  Audit* audit_ = nullptr;
 };
 
 }  // namespace h2sim::sim

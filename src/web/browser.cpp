@@ -33,14 +33,11 @@ Browser::Browser(sim::EventLoop& loop, h2::ClientConnection& conn,
   // Resolve EMBLEM_k placeholders via the survey-result permutation: the
   // k-th image requested is the party ranked k-th by this user.
   steps_ = site.schedule;
-  std::vector<bool> seed_resolved(steps_.size(), false);
-  for (std::size_t i = 0; i < steps_.size(); ++i) {
-    RequestStep& s = steps_[i];
+  for (RequestStep& s : steps_) {
     if (s.path.rfind("EMBLEM_", 0) == 0) {
       const int slot = std::stoi(s.path.substr(7));
       s.path = site.emblem_paths.at(
           static_cast<std::size_t>(permutation_.at(static_cast<std::size_t>(slot))));
-      seed_resolved[i] = true;
     }
   }
 
@@ -61,9 +58,6 @@ Browser::Browser(sim::EventLoop& loop, h2::ClientConnection& conn,
   objects_.resize(steps_.size());
   for (std::size_t i = 0; i < steps_.size(); ++i) {
     objects_[i].path = steps_[i].path;
-    objects_[i].seed_resolved =
-        seed_resolved[i] || (cfg_.randomize_embedded_order &&
-                             steps_[i].gate != Gate::kNone);
     const WebObject* obj = site_.find(steps_[i].path);
     objects_[i].label = obj ? obj->label : steps_[i].path;
     if (steps_[i].path == site_.html_path) html_index_ = i;
@@ -107,37 +101,6 @@ int Browser::total_reissues() const {
   int n = 0;
   for (const auto& o : objects_) n += o.reissues;
   return n;
-}
-
-bool Browser::reseed(const std::array<int, 8>& permutation, sim::Rng rng,
-                     std::string* why) {
-  if (cfg_.randomize_embedded_order) {
-    // The shuffle consumed draws at construction; the slot mapping already
-    // baked in the old seed.
-    if (why) *why = "randomize_embedded_order shuffles at construction";
-    return false;
-  }
-  for (const ObjectState& o : objects_) {
-    if (o.seed_resolved && (o.issued || !o.streams.empty())) {
-      if (why) *why = "a permutation-resolved request is already on the wire";
-      return false;
-    }
-  }
-  permutation_ = permutation;
-  rng_ = rng;
-  // Re-resolve placeholder steps from the pristine site schedule; everything
-  // else (paths, gates, timing skeleton) is seed-independent.
-  for (std::size_t i = 0; i < steps_.size(); ++i) {
-    const RequestStep& tmpl = site_.schedule[i];
-    if (tmpl.path.rfind("EMBLEM_", 0) != 0) continue;
-    const int slot = std::stoi(tmpl.path.substr(7));
-    steps_[i].path = site_.emblem_paths.at(
-        static_cast<std::size_t>(permutation_.at(static_cast<std::size_t>(slot))));
-    objects_[i].path = steps_[i].path;
-    const WebObject* obj = site_.find(steps_[i].path);
-    objects_[i].label = obj ? obj->label : steps_[i].path;
-  }
-  return true;
 }
 
 Duration Browser::noisy(Duration gap, double lo, double hi) {
@@ -190,7 +153,6 @@ void Browser::dispatch() {
 
 void Browser::issue(std::size_t index, bool is_rerequest) {
   ObjectState& o = objects_[index];
-  if (o.seed_resolved && fork_divergence_hook_) fork_divergence_hook_();
   http::Request req;
   req.authority = "www.isidewith.com";
   req.path = o.path;

@@ -41,28 +41,6 @@ TEST(Runner, EmptyConfigListYieldsEmptyResults) {
   EXPECT_TRUE(run_trials({}).empty());
 }
 
-// RunOptions::fork with nothing marked must be a no-op: every trial is
-// untagged, so the forked runner sends them all down the classic path and
-// the results match the plain runner field for field.
-TEST(Runner, ForkFlagWithoutMarkedCellsIsIdentity) {
-  std::vector<TrialConfig> cfgs;
-  for (std::uint64_t s : {910, 911, 912, 913}) {
-    cfgs.push_back(quick_config(s));
-  }
-  RunOptions plain;
-  plain.jobs = 2;
-  const auto base = run_trials(cfgs, plain);
-
-  RunOptions forked = plain;
-  forked.fork = true;
-  const auto with_flag = run_trials(cfgs, forked);
-
-  ASSERT_EQ(base.size(), with_flag.size());
-  for (std::size_t i = 0; i < base.size(); ++i) {
-    EXPECT_TRUE(base[i] == with_flag[i]) << "slot " << i;
-  }
-}
-
 TEST(Runner, ResultsComeBackInInputOrder) {
   std::vector<TrialConfig> cfgs;
   for (std::uint64_t s : {900, 901, 902, 903, 904, 905}) {

@@ -171,6 +171,54 @@ TEST(Rng, ShuffleIsPermutation) {
   EXPECT_EQ(sorted, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
 }
 
+// Known answers for one fixed seed, covering every draw op, split and
+// shuffle. The other Rng tests compare two streams with each other; this one
+// pins the literal stream, so any change to xoshiro256**, the seeding, the
+// rejection sampler, the Box-Muller cache or the number of words an op
+// consumes shows up here. Each trailing next_u64() pins how far the
+// preceding ops advanced the stream. The log/sin/cos-based draws are
+// compared to within a few ULP so the test does not depend on one libm.
+TEST(Rng, KnownAnswersForFixedSeed) {
+  Rng r(20200);
+  EXPECT_EQ(r.next_u64(), 0x3c198c3f4d71b16dULL);
+  EXPECT_EQ(r.next_u64(), 0xaf47cfcf08413fd4ULL);
+
+  EXPECT_EQ(r.uniform(10), 5u);
+  EXPECT_EQ(r.uniform(1), 0u);  // forced, but still consumes a word
+  EXPECT_EQ(r.uniform((1ULL << 63) + 1), 0x5db1f299fe37d85cULL);  // rejects
+  EXPECT_EQ(r.uniform_int(-5, 5), 3);
+  EXPECT_EQ(r.uniform_int(7, 7), 7);
+
+  EXPECT_EQ(r.uniform01(), 0x1.81c4f115f1c88p-1);
+  EXPECT_EQ(r.uniform01(), 0x1.3e252c682bc29p-1);
+  EXPECT_EQ(r.uniform_real(-1.5, 2.5), 0x1.ed6776b7075fp-1);
+
+  // p <= 0 and p >= 1 short-circuit without consuming a word.
+  EXPECT_FALSE(r.bernoulli(0.0));
+  EXPECT_FALSE(r.bernoulli(-1.0));
+  EXPECT_TRUE(r.bernoulli(1.0));
+  EXPECT_TRUE(r.bernoulli(2.0));
+  EXPECT_TRUE(r.bernoulli(0.5));
+  EXPECT_FALSE(r.bernoulli(0.5));
+  EXPECT_EQ(r.next_u64(), 0xcaec23f5686cda16ULL);
+
+  EXPECT_DOUBLE_EQ(r.exponential(3.0), 0x1.d86ec84fa43c6p+0);
+  EXPECT_DOUBLE_EQ(r.gaussian(10.0, 2.0), 0x1.82df04fe02f6cp+2);
+  // The second value of the Box-Muller pair comes from the cache.
+  EXPECT_DOUBLE_EQ(r.gaussian(10.0, 2.0), 0x1.37d50f22d2106p+3);
+  EXPECT_DOUBLE_EQ(r.gaussian(-1.0, 0.5), -0x1.0a114bfde7d67p-1);
+  EXPECT_EQ(r.next_u64(), 0xaec51a1dbeedd139ULL);
+
+  Rng child = r.split();
+  EXPECT_EQ(child.next_u64(), 0x134fe55123f06ff7ULL);
+  EXPECT_EQ(r.next_u64(), 0xa656cf974c35ad5dULL);
+
+  std::vector<int> v = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9};
+  r.shuffle(v);
+  EXPECT_EQ(v, (std::vector<int>{9, 4, 5, 3, 8, 1, 7, 2, 6, 0}));
+  EXPECT_EQ(r.next_u64(), 0xf3af226bd6492f95ULL);
+}
+
 TEST(Time, DurationArithmetic) {
   EXPECT_EQ((Duration::millis(1) + Duration::micros(500)).count_nanos(), 1'500'000);
   EXPECT_EQ((Duration::seconds(1) - Duration::millis(250)).to_millis(), 750.0);

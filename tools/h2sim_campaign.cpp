@@ -9,7 +9,7 @@
 //                  [--attack off,full] [--pad 0,256] [--dummies 0,2]
 //                  [--jobs N] [--resume] [--report-interval SECS]
 //                  [--ci-stop HALFWIDTH [--ci-stop-field F]
-//                   [--ci-stop-min N]] [--profile] [--fork] [--max-trials N]
+//                   [--ci-stop-min N]] [--profile] [--max-trials N]
 //                  [--site default|small] [--quiet]
 //
 // The grid is the cross product of the comma-separated axis lists; each cell
@@ -38,7 +38,7 @@ int usage(const char* argv0) {
       "          [--attack off,full] [--pad LIST] [--dummies LIST]\n"
       "          [--jobs N] [--resume] [--report-interval SECS]\n"
       "          [--ci-stop HALFWIDTH] [--ci-stop-field FIELD]\n"
-      "          [--ci-stop-min N] [--profile] [--fork] [--max-trials N]\n"
+      "          [--ci-stop-min N] [--profile] [--max-trials N]\n"
       "          [--site default|small] [--quiet]\n",
       argv0);
   return 1;
@@ -121,8 +121,6 @@ int main(int argc, char** argv) {
       opts.ci_stop_min_trials = std::strtoull(v, nullptr, 10);
     } else if (arg == "--profile") {
       opts.profile = true;
-    } else if (arg == "--fork") {
-      opts.fork = true;
     } else if (arg == "--max-trials") {
       const char* v = next();
       if (!v) return usage(argv[0]);
