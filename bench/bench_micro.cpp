@@ -1,5 +1,5 @@
 // Substrate microbenchmarks (google-benchmark): HPACK codec, Huffman coding,
-// HTTP/2 frame codec, TLS record protection, TCP bulk transfer, and raw
+// HTTP/2 frame codec, TLS record protection (keystream and tag), TCP bulk transfer, and raw
 // simulator event throughput. These quantify the cost of the building blocks
 // the reproduction's Monte-Carlo trials lean on.
 
@@ -153,10 +153,10 @@ void BM_RecordParse(benchmark::State& state) {
 }
 BENCHMARK(BM_RecordParse)->Arg(1049);
 
-// The record-protection inner loop (keystream XOR), measured on the real
-// free function both protect() and unprotect() call. The 1024-byte arg is
-// the dominant record size on the wire (one h2 DATA chunk + framing); the
-// 16 KiB arg shows the 4-wide unrolled middle at its best.
+// The record-protection keystream XOR, measured on the real free function
+// that TlsSession's send path and tls::unprotect both call. The 1024-byte
+// arg is the dominant record size on the wire (one h2 DATA chunk +
+// framing); the 16 KiB arg shows the 4-wide unrolled middle at its best.
 void BM_KeystreamApply(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   std::vector<std::uint8_t> src(n, 0x42);
@@ -174,6 +174,17 @@ void BM_KeystreamApply(benchmark::State& state) {
 }
 BENCHMARK(BM_KeystreamApply)->Arg(1024)->Arg(16384);
 
+// The simulator's private mix64 finalizer, copied for the bench-local
+// reference lanes below.
+std::uint64_t ref_mix64(std::uint64_t x) {
+  x ^= x >> 30;
+  x *= 0xbf58476d1ce4e5b9ULL;
+  x ^= x >> 27;
+  x *= 0x94d049bb133111ebULL;
+  x ^= x >> 31;
+  return x;
+}
+
 // Reference lane for attribution: the pre-unroll single-word loop, kept
 // bench-local only. Comparing its bytes/sec against BM_KeystreamApply
 // isolates what the 4-wide unrolled middle buys on this hardware.
@@ -183,13 +194,7 @@ void BM_KeystreamApplySingleWord(benchmark::State& state) {
   std::vector<std::uint8_t> dst(n);
   const std::uint64_t key = 0x5eed5eed5eed5eedULL;
   auto word = [key](std::uint64_t counter) {
-    std::uint64_t x = key + 0x9e3779b97f4a7c15ULL * (counter + 1);
-    x ^= x >> 30;
-    x *= 0xbf58476d1ce4e5b9ULL;
-    x ^= x >> 27;
-    x *= 0x94d049bb133111ebULL;
-    x ^= x >> 31;
-    return x;
+    return ref_mix64(key + 0x9e3779b97f4a7c15ULL * (counter + 1));
   };
   for (auto _ : state) {
     for (std::size_t i = 0; i + 8 <= n; i += 8) {
@@ -205,6 +210,51 @@ void BM_KeystreamApplySingleWord(benchmark::State& state) {
       static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_KeystreamApplySingleWord)->Arg(16384);
+
+// The record tag, measured on the real free function that TlsSession's send
+// path and tls::unprotect both call: every protected byte passes through it
+// once per direction.
+void BM_RecordTag(benchmark::State& state) {
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  std::vector<std::uint8_t> body(n, 0x42);
+  std::uint64_t off = 3;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        tls::record_tag(0x5eed5eed5eed5eedULL, off, body.data(), n));
+    off += n;
+  }
+  state.SetBytesProcessed(
+      static_cast<std::int64_t>(state.iterations()) *
+      static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_RecordTag)->Arg(1024)->Arg(16384);
+
+// Reference lane for attribution: the earlier tag, one serial chain of two
+// mix64 calls per 8-byte word, kept bench-local only. Comparing its
+// bytes/sec against BM_RecordTag isolates what the 4 independent lanes buy
+// on this hardware.
+void BM_RecordTagSerialChain(benchmark::State& state) {
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  std::vector<std::uint8_t> body(n, 0x42);
+  const std::uint64_t key = 0x5eed5eed5eed5eedULL;
+  for (auto _ : state) {
+    std::uint64_t t1 = key;
+    std::uint64_t t2 = ~key;
+    std::uint64_t j = 0;
+    for (std::size_t i = 0; i + 8 <= n; i += 8, ++j) {
+      std::uint64_t w;
+      std::memcpy(&w, body.data() + i, 8);
+      t1 = ref_mix64(t1 + w);
+      t2 = ref_mix64(t2 ^ (t1 + j));
+    }
+    benchmark::DoNotOptimize(t1);
+    benchmark::DoNotOptimize(t2);
+  }
+  state.SetBytesProcessed(
+      static_cast<std::int64_t>(state.iterations()) *
+      static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_RecordTagSerialChain)->Arg(16384);
 
 void BM_EventLoopThroughput(benchmark::State& state) {
   for (auto _ : state) {

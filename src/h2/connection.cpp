@@ -119,7 +119,8 @@ void Connection::write_frame(Frame&& f) {
                    .take());
   }
   if (frame_tap_) frame_tap_(f, loop_.now());
-  tls_.write(serialize_frame(f));
+  serialize_frame(f, wire_scratch_);
+  tls_.write(wire_scratch_);
 }
 
 Stream& Connection::create_stream(std::uint32_t id) {
@@ -368,13 +369,11 @@ void Connection::pump() {
                           std::min(s.send_window().available(),
                                    conn_send_window_.available())));
     }
-    const std::vector<std::uint8_t> chunk = s.dequeue(n);
-    const bool end = s.queued_bytes() == 0 && s.end_stream_queued();
-
     Frame f;
     f.type = FrameType::kData;
     f.stream_id = id;
-    f.payload = chunk;
+    f.payload = s.dequeue(n);
+    const bool end = s.queued_bytes() == 0 && s.end_stream_queued();
     if (end) f.flags |= flags::kEndStream;
 
     s.send_window().consume(static_cast<std::int64_t>(n));

@@ -198,6 +198,7 @@ class Connection {
   hpack::Encoder hpack_encoder_;
   hpack::Decoder hpack_decoder_;
   std::vector<std::uint8_t> preface_buffer_;
+  std::vector<std::uint8_t> wire_scratch_;  // reused by write_frame
 
   // CONTINUATION reassembly state.
   bool assembling_headers_ = false;

@@ -62,6 +62,12 @@ const char* to_string(ErrorCode e) {
 
 std::vector<std::uint8_t> serialize_frame(const Frame& f) {
   std::vector<std::uint8_t> out;
+  serialize_frame(f, out);
+  return out;
+}
+
+void serialize_frame(const Frame& f, std::vector<std::uint8_t>& out) {
+  out.clear();
   out.reserve(kFrameHeaderBytes + f.payload.size());
   const std::uint32_t len = static_cast<std::uint32_t>(f.payload.size());
   out.push_back(static_cast<std::uint8_t>(len >> 16));
@@ -71,33 +77,40 @@ std::vector<std::uint8_t> serialize_frame(const Frame& f) {
   out.push_back(f.flags);
   put_u32(out, f.stream_id & 0x7fffffff);
   out.insert(out.end(), f.payload.begin(), f.payload.end());
-  return out;
 }
 
 void FrameDecoder::feed(std::span<const std::uint8_t> bytes) {
+  if (head_ == buf_.size()) {
+    buf_.clear();
+    head_ = 0;
+  } else if (head_ >= 4096 && head_ >= buf_.size() - head_) {
+    buf_.erase(buf_.begin(), buf_.begin() + static_cast<std::ptrdiff_t>(head_));
+    head_ = 0;
+  }
   buf_.insert(buf_.end(), bytes.begin(), bytes.end());
 }
 
 std::optional<Frame> FrameDecoder::next() {
-  if (error_ || buf_.size() < kFrameHeaderBytes) return std::nullopt;
-  const std::size_t len = static_cast<std::size_t>(buf_[0]) << 16 |
-                          static_cast<std::size_t>(buf_[1]) << 8 | buf_[2];
+  const std::uint8_t* p = buf_.data() + head_;
+  const std::size_t avail = buf_.size() - head_;
+  if (error_ || avail < kFrameHeaderBytes) return std::nullopt;
+  const std::size_t len = static_cast<std::size_t>(p[0]) << 16 |
+                          static_cast<std::size_t>(p[1]) << 8 | p[2];
   if (len > max_frame_size_) {
     error_ = true;
     return std::nullopt;
   }
-  if (buf_.size() < kFrameHeaderBytes + len) return std::nullopt;
+  if (avail < kFrameHeaderBytes + len) return std::nullopt;
 
   Frame f;
-  f.type = static_cast<FrameType>(buf_[3]);
-  f.flags = buf_[4];
-  f.stream_id = (static_cast<std::uint32_t>(buf_[5]) << 24 |
-                 static_cast<std::uint32_t>(buf_[6]) << 16 |
-                 static_cast<std::uint32_t>(buf_[7]) << 8 | buf_[8]) &
+  f.type = static_cast<FrameType>(p[3]);
+  f.flags = p[4];
+  f.stream_id = (static_cast<std::uint32_t>(p[5]) << 24 |
+                 static_cast<std::uint32_t>(p[6]) << 16 |
+                 static_cast<std::uint32_t>(p[7]) << 8 | p[8]) &
                 0x7fffffff;
-  buf_.erase(buf_.begin(), buf_.begin() + kFrameHeaderBytes);
-  f.payload.assign(buf_.begin(), buf_.begin() + static_cast<std::ptrdiff_t>(len));
-  buf_.erase(buf_.begin(), buf_.begin() + static_cast<std::ptrdiff_t>(len));
+  f.payload.assign(p + kFrameHeaderBytes, p + kFrameHeaderBytes + len);
+  head_ += kFrameHeaderBytes + len;
   return f;
 }
 

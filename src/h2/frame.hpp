@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <span>
 #include <string>
@@ -84,6 +83,8 @@ struct Frame {
 };
 
 std::vector<std::uint8_t> serialize_frame(const Frame& f);
+/// Serializes into `out`, replacing its contents and reusing its capacity.
+void serialize_frame(const Frame& f, std::vector<std::uint8_t>& out);
 
 /// Incremental frame decoder over an in-order byte stream.
 class FrameDecoder {
@@ -98,7 +99,10 @@ class FrameDecoder {
   bool error() const { return error_; }
 
  private:
-  std::deque<std::uint8_t> buf_;
+  // Flat buffer with a consumed-prefix offset, compacted like
+  // tls::RecordParser's: each payload leaves in one contiguous copy.
+  std::vector<std::uint8_t> buf_;
+  std::size_t head_ = 0;
   std::size_t max_frame_size_ = kDefaultMaxFrameSize;
   bool error_ = false;
 };

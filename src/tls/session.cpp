@@ -1,9 +1,9 @@
 #include "tls/session.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cstring>
-#include <unordered_map>
 #include <vector>
 
 #include "obs/profiler.hpp"
@@ -28,79 +28,9 @@ std::uint64_t load64(const std::uint8_t* p) {
 
 void store64(std::uint8_t* p, std::uint64_t w) { std::memcpy(p, &w, sizeof(w)); }
 
-/// Keyed checksum over the ciphertext, standing in for the AEAD tag. Two
-/// chained mix64 lanes consume the body one 64-bit word at a time (the last
-/// partial word zero-padded), then the length is folded in so padding cannot
-/// collide with genuine zero bytes. Word-at-a-time keeps record protection
-/// off the trial profile — it was 2 mix64 per *byte* when computed bytewise,
-/// which dominated whole-trial runtime.
-struct TagWords {
-  std::uint64_t t1;
-  std::uint64_t t2;
-};
-
-TagWords tag_words(std::uint64_t key, std::uint64_t counter,
-                   const std::uint8_t* body, std::size_t n) {
-  std::uint64_t t1 = key ^ counter;
-  std::uint64_t t2 = ~key;
-  std::size_t i = 0;
-  std::uint64_t j = 0;
-  for (; i + 8 <= n; i += 8, ++j) {
-    t1 = mix64(t1 + load64(body + i));
-    t2 = mix64(t2 ^ (t1 + j));
-  }
-  if (i < n) {
-    std::uint64_t w = 0;
-    std::memcpy(&w, body + i, n - i);
-    t1 = mix64(t1 + w);
-    t2 = mix64(t2 ^ (t1 + j));
-  }
-  t1 = mix64(t1 + n);
-  t2 = mix64(t2 ^ t1);
-  return {t1, t2};
-}
-
 constexpr std::size_t kClientHelloBytes = 512;
 constexpr std::size_t kServerFlightBytes = 2500;  // hello + cert + finished
 constexpr std::size_t kClientFinishedBytes = 64;
-
-/// Sender-parked record cache: verification normally recomputes the keyed
-/// checksum over the whole ciphertext and then runs a keystream pass to
-/// decrypt — together the largest item on the trial profile. Both ends of a
-/// simulated connection live on the same thread, so the sender parks each
-/// protected record's ciphertext, plaintext and tag under (direction key,
-/// stream counter); the receiver memcmps the received bytes against the
-/// parked ciphertext and on an exact match reuses the parked tag and moves
-/// the parked plaintext out, skipping both the checksum and the keystream
-/// pass. Any mismatch — in-flight corruption, a stale entry from an earlier
-/// connection on the same ports — falls back to full recomputation, so
-/// accept/reject behavior (bad_record_mac semantics included) and the
-/// delivered plaintext are byte-for-byte identical, just cheaper on the
-/// by-far-common untampered path.
-struct ParkedRecord {
-  std::vector<std::uint8_t> body;
-  std::vector<std::uint8_t> plain;
-  TagWords tag{};
-};
-thread_local std::unordered_map<std::uint64_t, ParkedRecord> parked_records;
-
-std::uint64_t park_key(std::uint64_t key, std::uint64_t counter) {
-  // A collision only causes an overwrite and a later memcmp miss (fallback
-  // to recomputation), never a wrong accept.
-  return mix64(key ^ counter * 0x9e3779b97f4a7c15ULL);
-}
-
-void park_record(std::uint64_t key, std::uint64_t counter,
-                 const std::uint8_t* body, const std::uint8_t* plain,
-                 std::size_t n, TagWords tag) {
-  // Records that die in flight leave entries behind; cap the cache so a long
-  // sweep cannot accumulate them (dropping parked state is always safe).
-  if (parked_records.size() > 4096) parked_records.clear();
-  ParkedRecord& slot = parked_records[park_key(key, counter)];
-  slot.body.assign(body, body + n);
-  slot.plain.assign(plain, plain + n);
-  slot.tag = tag;
-}
 
 }  // namespace
 
@@ -216,6 +146,64 @@ void apply_keystream(std::uint64_t key, std::uint64_t stream_off,
   }
 }
 
+std::array<std::uint8_t, kAeadTagBytes> record_tag(std::uint64_t key,
+                                                   std::uint64_t stream_off,
+                                                   const std::uint8_t* body,
+                                                   std::size_t n) {
+  // Word j (the last partial word zero-padded) enters lane j % 4. A lane step
+  // -- xor, multiply by an odd constant, xorshift -- is a bijection of the
+  // lane for a fixed word and of the word for a fixed lane, so changing any
+  // one word changes its lane's final state. The four lanes are independent
+  // chains, which keeps the loop throughput-bound instead of latency-bound.
+  constexpr std::uint64_t kMul = 0x9e3779b97f4a7c15ULL;
+  auto step = [](std::uint64_t lane, std::uint64_t w) {
+    lane = (lane ^ w) * kMul;
+    return lane ^ (lane >> 29);
+  };
+  const std::uint64_t seed = mix64(key ^ (stream_off * kMul));
+  std::uint64_t l0 = seed;
+  std::uint64_t l1 = seed ^ 0xa0761d6478bd642fULL;
+  std::uint64_t l2 = seed ^ 0xe7037ed1a0b428dbULL;
+  std::uint64_t l3 = seed ^ 0x8ebc6af09c88c6e3ULL;
+  std::size_t i = 0;
+  for (; i + 32 <= n; i += 32) {
+    l0 = step(l0, load64(body + i));
+    l1 = step(l1, load64(body + i + 8));
+    l2 = step(l2, load64(body + i + 16));
+    l3 = step(l3, load64(body + i + 24));
+  }
+  std::uint64_t tail[4] = {0, 0, 0, 0};
+  if (i < n) std::memcpy(tail, body + i, n - i);
+  const std::size_t tail_words = (n - i + 7) / 8;
+  if (tail_words > 0) l0 = step(l0, tail[0]);
+  if (tail_words > 1) l1 = step(l1, tail[1]);
+  if (tail_words > 2) l2 = step(l2, tail[2]);
+  if (tail_words > 3) l3 = step(l3, tail[3]);
+  // t1 is a bijection of each lane given the others, so any lane change
+  // changes t1. The length separates zero padding from genuine trailing
+  // zero bytes.
+  const std::uint64_t t1 = mix64(l0 + mix64(l1 + mix64(l2 + mix64(l3 ^ n))));
+  const std::uint64_t t2 = mix64(l3 + mix64(l2 + mix64(l1 + mix64(l0 ^ ~t1))));
+  std::array<std::uint8_t, kAeadTagBytes> tag;
+  store64(tag.data(), t1);
+  store64(tag.data() + 8, t2);
+  return tag;
+}
+
+bool unprotect(std::uint64_t key, std::uint64_t stream_off,
+               std::span<const std::uint8_t> body,
+               std::vector<std::uint8_t>& plaintext_out) {
+  if (body.size() < kAeadTagBytes) return false;
+  const std::size_t n = body.size() - kAeadTagBytes;
+  const auto tag = record_tag(key, stream_off, body.data(), n);
+  if (std::memcmp(tag.data(), body.data() + n, kAeadTagBytes) != 0) {
+    return false;
+  }
+  plaintext_out.resize(n);
+  apply_keystream(key, stream_off, body.data(), plaintext_out.data(), n);
+  return true;
+}
+
 void TlsSession::send_protected(std::span<const std::uint8_t> plaintext) {
   obs::ProfileScope prof(obs::Component::kTls);
   const std::uint64_t key = direction_key(/*encrypt=*/true);
@@ -230,50 +218,11 @@ void TlsSession::send_protected(std::span<const std::uint8_t> plaintext) {
   wire[4] = static_cast<std::uint8_t>(body_len & 0xff);
   std::uint8_t* body = wire + kRecordHeaderBytes;
   apply_keystream(key, encrypt_counter_, plaintext.data(), body, n);
-  const TagWords tag = tag_words(key, encrypt_counter_, body, n);
-  park_record(key, encrypt_counter_, body, plaintext.data(), n, tag);
-  store64(body + n, tag.t1);
-  store64(body + n + 8, tag.t2);
+  const auto tag = record_tag(key, encrypt_counter_, body, n);
+  std::memcpy(body + n, tag.data(), kAeadTagBytes);
   encrypt_counter_ += n;
   ++records_sent_;
   conn_.send(wire_scratch_);
-}
-
-bool TlsSession::unprotect(std::span<const std::uint8_t> body,
-                           std::vector<std::uint8_t>& plaintext_out) {
-  if (body.size() < kAeadTagBytes) return false;
-  const std::size_t n = body.size() - kAeadTagBytes;
-  const std::uint64_t key = direction_key(/*encrypt=*/false);
-
-  // Parked fast path: the sender's exact ciphertext means the parked tag and
-  // plaintext are what recomputation would produce, so reuse both. A record
-  // whose trailing tag bytes were tampered with still fails the tag memcmp
-  // below, exactly as the recomputing path would.
-  const auto it = parked_records.find(park_key(key, decrypt_counter_));
-  if (it != parked_records.end() && it->second.body.size() == n &&
-      std::memcmp(it->second.body.data(), body.data(), n) == 0) {
-    std::uint8_t expected[kAeadTagBytes];
-    store64(expected, it->second.tag.t1);
-    store64(expected + 8, it->second.tag.t2);
-    if (std::memcmp(expected, body.data() + n, kAeadTagBytes) != 0) {
-      return false;
-    }
-    plaintext_out = std::move(it->second.plain);
-    parked_records.erase(it);
-    decrypt_counter_ += n;
-    return true;
-  }
-
-  const TagWords tag = tag_words(key, decrypt_counter_, body.data(), n);
-  std::uint8_t expected[kAeadTagBytes];
-  store64(expected, tag.t1);
-  store64(expected + 8, tag.t2);
-  if (std::memcmp(expected, body.data() + n, kAeadTagBytes) != 0) return false;
-
-  plaintext_out.resize(n);
-  apply_keystream(key, decrypt_counter_, body.data(), plaintext_out.data(), n);
-  decrypt_counter_ += n;
-  return true;
 }
 
 void TlsSession::write(std::span<const std::uint8_t> plaintext) {
@@ -317,10 +266,12 @@ void TlsSession::handle_record(const RecordParser::Record& rec) {
       handle_handshake_record(rec);
       return;
     case ContentType::kApplicationData: {
-      if (!unprotect(rec.body, plain_scratch_)) {
+      if (!unprotect(direction_key(/*encrypt=*/false), decrypt_counter_,
+                     rec.body, plain_scratch_)) {
         fail("tls-bad-record-mac");
         return;
       }
+      decrypt_counter_ += plain_scratch_.size();
       if (cbs_.on_plaintext) cbs_.on_plaintext(std::span(plain_scratch_));
       return;
     }

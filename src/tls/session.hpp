@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <span>
@@ -23,6 +24,24 @@ std::uint64_t keystream_word(std::uint64_t dir_key, std::uint64_t counter);
 void apply_keystream(std::uint64_t key, std::uint64_t stream_off,
                      const std::uint8_t* src, std::uint8_t* dst,
                      std::size_t n);
+
+/// The 16-byte tag over the ciphertext [body, body+n) of the record that
+/// starts at keystream offset `stream_off`, standing in for an AEAD tag.
+/// Four independent multiply-xorshift lanes take one 8-byte word each in
+/// turn and are folded with the length at the end; changing any single word
+/// of the ciphertext always changes the tag. Not cryptography.
+std::array<std::uint8_t, kAeadTagBytes> record_tag(std::uint64_t key,
+                                                   std::uint64_t stream_off,
+                                                   const std::uint8_t* body,
+                                                   std::size_t n);
+
+/// Checks and decrypts one protected record body (ciphertext followed by its
+/// tag) at keystream offset `stream_off`. Returns false, leaving
+/// `plaintext_out` untouched, when the body is shorter than a tag or the tag
+/// does not match; otherwise `plaintext_out` holds the plaintext.
+bool unprotect(std::uint64_t key, std::uint64_t stream_off,
+               std::span<const std::uint8_t> body,
+               std::vector<std::uint8_t>& plaintext_out);
 
 /// Simulated TLS session over a TcpConnection.
 ///
@@ -88,8 +107,6 @@ class TlsSession {
   /// scratch buffer (no intermediate body vector).
   void send_protected(std::span<const std::uint8_t> plaintext);
   void send_handshake_flight(std::size_t size);
-  bool unprotect(std::span<const std::uint8_t> body,
-                 std::vector<std::uint8_t>& plaintext_out);
   void fail(std::string_view reason);
 
   std::uint64_t direction_key(bool encrypt) const;

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "h2_fixture.hpp"
 #include "http/message.hpp"
 #include "tls/record.hpp"
@@ -12,9 +14,14 @@ namespace {
 
 using h2sim::testing::H2Pair;
 
-TEST(ErrorPaths, TlsDetectsCorruptedCiphertext) {
-  // Flip one payload byte in flight: the record MAC must fail and the
-  // session must abort rather than deliver garbage.
+/// Runs a TLS session whose client writes 5000 bytes once established,
+/// through a middlebox that hands every client->server payload packet to
+/// `corrupt` together with its 1-based index and the stream offset just past
+/// it. Returns whether the server aborted; plaintext delivery is reported
+/// through `got_plaintext`.
+bool server_aborts_on(
+    const std::function<void(std::vector<std::uint8_t>&, int, std::size_t)>& corrupt,
+    bool& got_plaintext) {
   sim::EventLoop loop;
   net::Path path(loop, net::Path::Config{});
   tcp::TcpConfig cfg;
@@ -27,7 +34,7 @@ TEST(ErrorPaths, TlsDetectsCorruptedCiphertext) {
 
   std::unique_ptr<tls::TlsSession> server_tls;
   bool server_aborted = false;
-  bool got_plaintext = false;
+  got_plaintext = false;
   server_stack.listen(443, [&](tcp::TcpConnection& c) {
     server_tls = std::make_unique<tls::TlsSession>(c, tls::TlsSession::Role::kServer);
     tls::TlsSession::Callbacks cbs;
@@ -39,27 +46,23 @@ TEST(ErrorPaths, TlsDetectsCorruptedCiphertext) {
   tcp::TcpConnection& conn = client_stack.connect(net::Path::kServerNode, 443);
   tls::TlsSession client_tls(conn, tls::TlsSession::Role::kClient);
 
-  // Corrupt the 4th client->server payload packet (application data; the
-  // first three carry the handshake).
-  int payload_count = 0;
   class Corruptor : public net::PacketPolicy {
    public:
-    int* counter;
+    const std::function<void(std::vector<std::uint8_t>&, int, std::size_t)>* fn;
+    int count = 0;
+    std::size_t stream_end = 0;
     net::Decision on_packet(const net::Packet& p, net::Direction dir,
                             sim::TimePoint) override {
       if (dir == net::Direction::kClientToServer && !p.payload.empty()) {
-        ++*counter;
-        if (*counter == 4) {
-          // The middlebox API is non-mutating; corrupt via const_cast to
-          // simulate in-flight bit rot (test-only).
-          auto& mutable_packet = const_cast<net::Packet&>(p);
-          mutable_packet.payload[mutable_packet.payload.size() / 2] ^= 0xff;
-        }
+        stream_end += p.payload.size();
+        // The middlebox API is non-mutating; corrupt via const_cast to
+        // simulate in-flight bit rot (test-only).
+        (*fn)(const_cast<net::Packet&>(p).payload, ++count, stream_end);
       }
       return net::Decision::forward();
     }
   } corruptor;
-  corruptor.counter = &payload_count;
+  corruptor.fn = &corrupt;
   path.middlebox().set_policy(&corruptor);
 
   tls::TlsSession::Callbacks ccbs;
@@ -70,7 +73,42 @@ TEST(ErrorPaths, TlsDetectsCorruptedCiphertext) {
   client_tls.set_callbacks(std::move(ccbs));
 
   loop.run(sim::TimePoint::origin() + sim::Duration::seconds(10));
-  EXPECT_TRUE(server_aborted);  // bad_record_mac semantics
+  return server_aborted;
+}
+
+TEST(ErrorPaths, TlsDetectsCorruptedCiphertext) {
+  // Flip one payload byte in flight: the record MAC must fail and the
+  // session must abort rather than deliver garbage.
+  bool got_plaintext = false;
+  // The 4th client->server payload packet carries application data (the
+  // first three carry the handshake).
+  EXPECT_TRUE(server_aborts_on(
+      [](std::vector<std::uint8_t>& payload, int index, std::size_t) {
+        if (index == 4) payload[payload.size() / 2] ^= 0xff;
+      },
+      got_plaintext));  // bad_record_mac semantics
+  EXPECT_FALSE(got_plaintext);
+
+  // Flip one byte of the tag only, leaving the ciphertext intact. The
+  // client's handshake records are 517 and 69 bytes on the wire and the
+  // 5000-byte write is one 5021-byte record, so the record, and with it its
+  // 16-byte tag, ends at client->server stream offset 5607.
+  bool flipped = false;
+  EXPECT_TRUE(server_aborts_on(
+      [&](std::vector<std::uint8_t>& payload, int, std::size_t stream_end) {
+        if (stream_end == 517 + 69 + 5021) {
+          payload.back() ^= 0x01;
+          flipped = true;
+        }
+      },
+      got_plaintext));
+  EXPECT_TRUE(flipped);
+  EXPECT_FALSE(got_plaintext);
+
+  // The same exchange untouched is accepted.
+  EXPECT_FALSE(server_aborts_on(
+      [](std::vector<std::uint8_t>&, int, std::size_t) {}, got_plaintext));
+  EXPECT_TRUE(got_plaintext);
 }
 
 TEST(ErrorPaths, BadConnectionPrefaceKillsConnection) {

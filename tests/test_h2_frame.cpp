@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <vector>
+
 #include "h2/frame.hpp"
 
 namespace h2sim::h2 {
@@ -54,6 +58,81 @@ TEST(FrameCodec, OversizedFrameSetsError) {
   const auto wire = serialize_frame(f);
   FrameDecoder dec;
   dec.feed(wire);
+  EXPECT_FALSE(dec.next().has_value());
+  EXPECT_TRUE(dec.error());
+}
+
+TEST(FrameCodec, CoalescedFramesInOneFeed) {
+  std::vector<std::uint8_t> wire;
+  for (std::uint32_t sid = 1; sid <= 5; ++sid) {
+    Frame f;
+    f.type = sid % 2 ? FrameType::kData : FrameType::kHeaders;
+    f.stream_id = sid;
+    f.payload.assign(sid * 10, static_cast<std::uint8_t>(sid));
+    const auto w = serialize_frame(f);
+    wire.insert(wire.end(), w.begin(), w.end());
+  }
+  FrameDecoder dec;
+  dec.feed(wire);
+  for (std::uint32_t sid = 1; sid <= 5; ++sid) {
+    auto out = dec.next();
+    ASSERT_TRUE(out.has_value()) << sid;
+    EXPECT_EQ(out->stream_id, sid);
+    EXPECT_EQ(out->payload,
+              std::vector<std::uint8_t>(sid * 10, static_cast<std::uint8_t>(sid)));
+  }
+  EXPECT_FALSE(dec.next().has_value());
+  EXPECT_FALSE(dec.error());
+}
+
+TEST(FrameCodec, LongStreamInOddPiecesComesOutByteIdentical) {
+  // More than 64 KB of frames whose sizes vary, fed in odd-sized pieces:
+  // frames straddle feeds and the consumed prefix crosses the 4 KiB point at
+  // which the decoder compacts its buffer, many times over.
+  std::vector<Frame> sent;
+  std::vector<std::uint8_t> wire;
+  std::uint8_t next_byte = 0;
+  for (std::uint32_t i = 0; wire.size() < 80 * 1024; ++i) {
+    Frame f;
+    f.type = FrameType::kData;
+    f.stream_id = 2 * i + 1;
+    f.payload.resize((i * 977) % 5000);
+    for (auto& b : f.payload) b = next_byte++;
+    const auto w = serialize_frame(f);
+    wire.insert(wire.end(), w.begin(), w.end());
+    sent.push_back(std::move(f));
+  }
+  FrameDecoder dec;
+  std::vector<Frame> got;
+  const std::size_t pieces[] = {1, 3, 7, 13, 511, 4099, 9, 2047};
+  std::size_t pos = 0;
+  for (std::size_t k = 0; pos < wire.size(); ++k) {
+    const std::size_t n =
+        std::min(pieces[k % std::size(pieces)], wire.size() - pos);
+    dec.feed(std::span(wire.data() + pos, n));
+    pos += n;
+    while (auto f = dec.next()) got.push_back(std::move(*f));
+  }
+  ASSERT_FALSE(dec.error());
+  ASSERT_EQ(got.size(), sent.size());
+  for (std::size_t i = 0; i < sent.size(); ++i) {
+    EXPECT_EQ(got[i].stream_id, sent[i].stream_id) << i;
+    EXPECT_EQ(got[i].payload, sent[i].payload) << i;
+  }
+}
+
+TEST(FrameCodec, ErrorStaysSetAfterOversizedFrame) {
+  Frame big;
+  big.payload.assign(20000, 1);
+  Frame small;
+  small.payload = {1, 2, 3};
+  FrameDecoder dec;
+  dec.feed(serialize_frame(big));
+  EXPECT_FALSE(dec.next().has_value());
+  ASSERT_TRUE(dec.error());
+  // Valid frames fed afterwards are never produced.
+  dec.feed(serialize_frame(small));
+  dec.feed(serialize_frame(small));
   EXPECT_FALSE(dec.next().has_value());
   EXPECT_TRUE(dec.error());
 }

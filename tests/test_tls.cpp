@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "net/topology.hpp"
@@ -65,6 +67,81 @@ TEST(RecordCodec, ParserHandlesCoalescedRecords) {
   ASSERT_TRUE(r1 && r2);
   EXPECT_EQ(r1->body.size(), 10u);
   EXPECT_EQ(r2->body.size(), 20u);
+}
+
+std::string hex(std::span<const std::uint8_t> bytes) {
+  static const char* kDigits = "0123456789abcdef";
+  std::string out;
+  for (std::uint8_t b : bytes) {
+    out += kDigits[b >> 4];
+    out += kDigits[b & 0xf];
+  }
+  return out;
+}
+
+std::vector<std::uint8_t> pattern(std::size_t n) {
+  std::vector<std::uint8_t> v(n);
+  for (std::size_t i = 0; i < n; ++i) v[i] = static_cast<std::uint8_t>(i * 7 + 3);
+  return v;
+}
+
+/// One protected record body (ciphertext followed by its tag), built the
+/// way TlsSession::send_protected builds it.
+std::vector<std::uint8_t> protect(std::uint64_t key, std::uint64_t off,
+                                  const std::vector<std::uint8_t>& plain) {
+  std::vector<std::uint8_t> body(plain.size() + kAeadTagBytes);
+  apply_keystream(key, off, plain.data(), body.data(), plain.size());
+  const auto tag = record_tag(key, off, body.data(), plain.size());
+  std::copy(tag.begin(), tag.end(), body.begin() + static_cast<std::ptrdiff_t>(plain.size()));
+  return body;
+}
+
+TEST(RecordTag, KnownAnswersForFixedKey) {
+  // Pins the tag function: these bytes are on the wire of every protected
+  // record, so a change here moves the pcapng goldens' SHA256s. The tag
+  // loads words in host byte order; the values are for little-endian hosts.
+  const std::uint64_t key = 0x0123456789abcdefULL;
+  const auto body = pattern(45);
+  EXPECT_EQ(hex(record_tag(key, 0, body.data(), 0)), "48f538154f1e47a9b9c561d60ea2de07");
+  EXPECT_EQ(hex(record_tag(key, 0, body.data(), 5)), "443dbb40628d290839018d4273d6d58b");
+  EXPECT_EQ(hex(record_tag(key, 0, body.data(), 8)), "cdb7a74213541cefdb1cdf2bb1f1cd93");
+  EXPECT_EQ(hex(record_tag(key, 0, body.data(), 29)), "aa57610b87e5d120e64f5f40f78ef1b6");
+  EXPECT_EQ(hex(record_tag(key, 0, body.data(), 32)), "a232b79e1ad32ae3170bc6cd5aeb9941");
+  EXPECT_EQ(hex(record_tag(key, 0, body.data(), 45)), "ecc2b31f8b61cbb7146dfa2ceda4c464");
+  EXPECT_EQ(hex(record_tag(key, 1000, body.data(), 45)), "c74a79069b244626b55c6005f93b6e82");
+  EXPECT_EQ(hex(record_tag(~key, 1000, body.data(), 45)), "6cbdba58a0b3b9f7c3b1193244a4dc03");
+}
+
+TEST(RecordTag, TagRejectsEverySingleBitFlip) {
+  const std::uint64_t key = 0x5eed5eed5eed5eedULL;
+  for (std::size_t n : {0, 1, 7, 8, 9, 31, 32, 33, 1000, 16384}) {
+    const std::uint64_t off = 3 + n;  // not word-aligned
+    const auto plain = pattern(n);
+    auto body = protect(key, off, plain);
+    std::vector<std::uint8_t> out;
+    ASSERT_TRUE(unprotect(key, off, body, out)) << n;
+    ASSERT_EQ(out, plain) << n;
+
+    std::size_t accepted = 0;
+    for (std::size_t byte = 0; byte < body.size(); ++byte) {
+      for (int bit = 0; bit < 8; ++bit) {
+        body[byte] ^= static_cast<std::uint8_t>(1u << bit);
+        if (unprotect(key, off, body, out)) ++accepted;
+        body[byte] ^= static_cast<std::uint8_t>(1u << bit);
+      }
+    }
+    EXPECT_EQ(accepted, 0u) << "body length " << n;
+  }
+}
+
+TEST(RecordTag, UnprotectRejectsWrongOffsetAndShortBody) {
+  const std::uint64_t key = 0x5eed5eed5eed5eedULL;
+  const auto body = protect(key, 64, pattern(100));
+  std::vector<std::uint8_t> out;
+  EXPECT_TRUE(unprotect(key, 64, body, out));
+  EXPECT_FALSE(unprotect(key, 65, body, out));
+  EXPECT_FALSE(unprotect(key ^ 1, 64, body, out));
+  EXPECT_FALSE(unprotect(key, 64, std::span(body.data(), kAeadTagBytes - 1), out));
 }
 
 /// Full client/server TLS-over-TCP fixture through the simulated path.
