@@ -153,6 +153,49 @@ void BM_RecordParse(benchmark::State& state) {
 }
 BENCHMARK(BM_RecordParse)->Arg(1049);
 
+// Record framing as TCP hands the stream over: 64 records with 1049-byte
+// bodies fed in 1448-byte (MSS) pieces. Records lying wholly inside a piece
+// are parsed in place; only the parts of records split across pieces are
+// copied. Once the parser's queue is warm it must not allocate: the
+// `allocs_per_event` counter (per record) is exactly 0.
+void BM_RecordStreamInPieces(benchmark::State& state) {
+  constexpr std::size_t kRecords = 64;
+  constexpr std::size_t kMss = 1448;
+  const std::vector<std::uint8_t> body(1049, 0x42);
+  tls::RecordHeader h;
+  h.length = static_cast<std::uint16_t>(body.size());
+  std::vector<std::uint8_t> wire;
+  for (std::size_t i = 0; i < kRecords; ++i) {
+    const auto rec = tls::serialize_record(h, body);
+    wire.insert(wire.end(), rec.begin(), rec.end());
+  }
+  tls::RecordParser parser;
+  auto pass = [&] {
+    std::size_t records = 0;
+    for (std::size_t pos = 0; pos < wire.size(); pos += kMss) {
+      parser.feed(std::span(wire).subspan(pos, std::min(kMss, wire.size() - pos)));
+      while (const auto r = parser.next()) {
+        benchmark::DoNotOptimize(r->body.data());
+        ++records;
+      }
+    }
+    return records;
+  };
+  pass();  // warm the queue that holds split records
+
+  std::uint64_t allocs = 0;
+  std::uint64_t records = 0;
+  for (auto _ : state) {
+    const std::uint64_t before = g_heap_allocs.load(std::memory_order_relaxed);
+    records += pass();
+    allocs += g_heap_allocs.load(std::memory_order_relaxed) - before;
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * wire.size()));
+  state.counters["allocs_per_event"] =
+      benchmark::Counter(static_cast<double>(allocs) / static_cast<double>(records));
+}
+BENCHMARK(BM_RecordStreamInPieces);
+
 // The record-protection keystream XOR, measured on the real free function
 // that TlsSession's send path and tls::unprotect both call. The 1024-byte
 // arg is the dominant record size on the wire (one h2 DATA chunk +

@@ -38,7 +38,7 @@ void TrafficMonitor::observe(const net::Packet& p, net::Direction dir,
   // a fresh application-data record big enough to carry a GET? Only
   // decidable when the packet lands exactly at the reassembled stream head.
   if (dir == net::Direction::kClientToServer && p.tcp.seq == st.next_seq &&
-      st.parser.pending_bytes() == 0 && p.payload.size() >= 5 &&
+      st.framer.at_record_boundary() && p.payload.size() >= 5 &&
       p.payload[0] == static_cast<std::uint8_t>(tls::ContentType::kApplicationData)) {
     const std::size_t rec_len =
         static_cast<std::size_t>(p.payload[3]) << 8 | p.payload[4];
@@ -63,10 +63,10 @@ void TrafficMonitor::feed(StreamState& st, const net::Packet& p,
     return;
   }
 
-  // In-order (possibly overlapping): feed the fresh suffix.
+  // In-order (possibly overlapping): frame the fresh suffix.
   const std::size_t skip = st.next_seq - seq;
-  st.parser.feed(std::span(p.payload.data() + skip, p.payload.size() - skip));
   st.next_seq = end;
+  frame(st, std::span(p.payload).subspan(skip), dir, now);
 
   // Drain any now-contiguous buffered segments.
   for (auto it = st.ooo.begin(); it != st.ooo.end();) {
@@ -79,19 +79,17 @@ void TrafficMonitor::feed(StreamState& st, const net::Packet& p,
     }
     if (seq_gt(sseq, st.next_seq)) break;
     const std::size_t skip2 = st.next_seq - sseq;
-    st.parser.feed(std::span(bytes.data() + skip2, bytes.size() - skip2));
     st.next_seq = send;
+    frame(st, std::span(bytes).subspan(skip2), dir, now);
     it = st.ooo.erase(it);
     it = st.ooo.begin();
   }
-
-  drain_records(st, dir, now);
 }
 
-void TrafficMonitor::drain_records(StreamState& st, net::Direction dir,
-                                   sim::TimePoint now) {
-  tls::RecordHeader header;
-  while (st.parser.next_header(header)) {
+void TrafficMonitor::frame(StreamState& st, std::span<const std::uint8_t> bytes,
+                           net::Direction dir, sim::TimePoint now) {
+  while (const auto record = st.framer.next(bytes)) {
+    const tls::RecordHeader& header = *record;
     analysis::RecordObs obs;
     obs.time = now;
     obs.dir = dir;

@@ -16,11 +16,13 @@
 namespace h2sim::attack {
 
 /// The adversary's tshark: passively reassembles each direction's TCP byte
-/// stream at the gateway and parses TLS record headers out of it (record
-/// headers are cleartext). Emits the packet trace the prediction module
-/// consumes, and fires a callback per client GET — identified, as in the
-/// paper, by `content_type == 23` application-data records large enough to
-/// be requests rather than WINDOW_UPDATE chatter.
+/// stream at the gateway and frames TLS records by their cleartext headers.
+/// It never stores a record body: each record is reported, at the packet
+/// carrying its last byte, from its 5 header bytes and a count of the body.
+/// Emits the packet trace the prediction module consumes, and fires a
+/// callback per client GET — identified, as in the paper, by
+/// `content_type == 23` application-data records large enough to be
+/// requests rather than WINDOW_UPDATE chatter.
 struct MonitorConfig {
   /// Minimum record body for a client->server application-data record to
   /// count as a GET request. Chatter sits well below: WINDOW_UPDATE ~29 B,
@@ -73,12 +75,15 @@ class TrafficMonitor {
     bool synced = false;
     std::uint32_t next_seq = 0;
     std::map<std::uint32_t, std::vector<std::uint8_t>> ooo;
-    tls::RecordParser parser;
+    tls::RecordHeaderFramer framer;
   };
 
   void feed(StreamState& st, const net::Packet& p, net::Direction dir,
             sim::TimePoint now);
-  void drain_records(StreamState& st, net::Direction dir, sim::TimePoint now);
+  /// Frames the next in-order stretch of the stream, reporting every record
+  /// that completes in it.
+  void frame(StreamState& st, std::span<const std::uint8_t> bytes,
+             net::Direction dir, sim::TimePoint now);
 
   Config cfg_;
   // Keyed by (client node, client port) per direction: one entry per TCP

@@ -41,7 +41,7 @@ Connection::Connection(sim::EventLoop& loop, tls::TlsSession& tls, bool is_serve
 
   tls::TlsSession::Callbacks cbs;
   cbs.on_established = [this] { on_tls_established(); };
-  cbs.on_plaintext = [this](std::span<const std::uint8_t> b) { on_plaintext(b); };
+  cbs.on_plaintext = [this](std::span<const std::uint8_t>) { on_plaintext(); };
   cbs.on_peer_close = [this] {
     if (!dead_) {
       dead_ = true;
@@ -58,6 +58,7 @@ Connection::Connection(sim::EventLoop& loop, tls::TlsSession& tls, bool is_serve
     if (!dead_ && handshake_done_) pump();
   };
   tls_.set_callbacks(std::move(cbs));
+  tls_.set_plaintext_queue(decoder_.input());
 }
 
 void Connection::on_tls_established() {
@@ -81,7 +82,7 @@ void Connection::send_initial_settings() {
   Frame f;
   f.type = FrameType::kSettings;
   f.payload = encode_settings(entries);
-  write_frame(std::move(f));
+  write_frame(f.view());
   decoder_.set_max_frame_size(cfg_.max_frame_size);
 
   if (cfg_.connection_window_bonus > 0) {
@@ -89,12 +90,12 @@ void Connection::send_initial_settings() {
     wu.type = FrameType::kWindowUpdate;
     wu.stream_id = 0;
     wu.payload = encode_window_update(cfg_.connection_window_bonus);
-    write_frame(std::move(wu));
+    write_frame(wu.view());
     conn_recv_window_.replenish(cfg_.connection_window_bonus);
   }
 }
 
-void Connection::write_frame(Frame&& f) {
+void Connection::write_frame(const FrameView& f) {
   if (dead_) return;
   ++stats_.frames_sent;
   metrics_.frames_sent.inc();
@@ -119,8 +120,7 @@ void Connection::write_frame(Frame&& f) {
                    .take());
   }
   if (frame_tap_) frame_tap_(f, loop_.now());
-  serialize_frame(f, wire_scratch_);
-  tls_.write(wire_scratch_);
+  tls_.write(frame_header(f), f.payload);
 }
 
 Stream& Connection::create_stream(std::uint32_t id) {
@@ -128,7 +128,9 @@ Stream& Connection::create_stream(std::uint32_t id) {
                                     static_cast<std::int64_t>(cfg_.initial_window_size));
   Stream& ref = *s;
   streams_[id] = std::move(s);
-  rr_order_.push_back(id);
+  // Append at the logical back, just before the logical front.
+  rr_order_.insert(rr_order_.begin() + static_cast<std::ptrdiff_t>(rr_front_), id);
+  rr_front_ = (rr_front_ + 1) % rr_order_.size();
   ++stats_.streams_opened;
   metrics_.streams_opened.inc();
   return ref;
@@ -160,8 +162,12 @@ Stream* Connection::find_stream(std::uint32_t id) {
 void Connection::destroy_stream_if_closed(std::uint32_t id) {
   Stream* s = find_stream(id);
   if (!s || !s->closed()) return;
-  rr_order_.erase(std::remove(rr_order_.begin(), rr_order_.end(), id),
-                  rr_order_.end());
+  const auto at = std::find(rr_order_.begin(), rr_order_.end(), id);
+  if (at != rr_order_.end()) {
+    if (static_cast<std::size_t>(at - rr_order_.begin()) < rr_front_) --rr_front_;
+    rr_order_.erase(at);
+    if (rr_front_ == rr_order_.size()) rr_front_ = 0;
+  }
   if (id == last_stream_id_) last_stream_ = nullptr;
   streams_.erase(id);
 }
@@ -181,7 +187,7 @@ void Connection::send_goaway(ErrorCode code, std::string debug) {
   f.type = FrameType::kGoaway;
   f.payload = encode_goaway({highest_remote_stream_, code, std::move(debug)});
   ++stats_.goaway_sent;
-  write_frame(std::move(f));
+  write_frame(f.view());
 }
 
 void Connection::send_ping() {
@@ -189,7 +195,7 @@ void Connection::send_ping() {
   f.type = FrameType::kPing;
   f.payload.assign(8, 0x42);
   ++stats_.pings_sent;
-  write_frame(std::move(f));
+  write_frame(f.view());
 }
 
 void Connection::send_priority(std::uint32_t stream_id, const PriorityPayload& p) {
@@ -197,7 +203,7 @@ void Connection::send_priority(std::uint32_t stream_id, const PriorityPayload& p
   f.type = FrameType::kPriority;
   f.stream_id = stream_id;
   f.payload = encode_priority(p);
-  write_frame(std::move(f));
+  write_frame(f.view());
 }
 
 void Connection::send_headers(std::uint32_t stream_id,
@@ -217,16 +223,15 @@ void Connection::send_headers(std::uint32_t stream_id,
   do {
     const std::size_t n = std::min<std::size_t>(peer_max_frame_size_,
                                                 block.size() - pos);
-    Frame f;
+    FrameView f;
     f.type = first ? FrameType::kHeaders : FrameType::kContinuation;
     f.stream_id = stream_id;
-    f.payload.assign(block.begin() + static_cast<std::ptrdiff_t>(pos),
-                     block.begin() + static_cast<std::ptrdiff_t>(pos + n));
+    f.payload = std::span(block).subspan(pos, n);
     pos += n;
     if (first && end_stream) f.flags |= flags::kEndStream;
     if (pos == block.size()) f.flags |= flags::kEndHeaders;
     first = false;
-    write_frame(std::move(f));
+    write_frame(f);
   } while (pos < block.size());
   trace_stream_state(stream_id, before);
   destroy_stream_if_closed(stream_id);
@@ -245,7 +250,7 @@ void Connection::send_rst_stream(std::uint32_t stream_id, ErrorCode code) {
   f.payload = encode_rst_stream(code);
   ++stats_.rst_sent;
   metrics_.rst_sent.inc();
-  write_frame(std::move(f));
+  write_frame(f.view());
   trace_stream_state(stream_id, before);
   destroy_stream_if_closed(stream_id);
 }
@@ -293,8 +298,8 @@ std::uint32_t Connection::pick_ready_stream() {
     }
     case SchedulerKind::kRandom: {
       std::vector<std::uint32_t> cand;
-      for (std::uint32_t id : rr_order_) {
-        if (ready(id)) cand.push_back(id);
+      for (std::size_t k = 0; k < rr_order_.size(); ++k) {
+        if (ready(rr_at(k))) cand.push_back(rr_at(k));
       }
       if (cand.empty()) return 0;
       return cand[rng_.uniform(cand.size())];
@@ -303,7 +308,8 @@ std::uint32_t Connection::pick_ready_stream() {
       // Weight-proportional random pick among ready streams.
       std::vector<std::uint32_t> cand;
       std::uint64_t total = 0;
-      for (std::uint32_t id : rr_order_) {
+      for (std::size_t k = 0; k < rr_order_.size(); ++k) {
+        const std::uint32_t id = rr_at(k);
         if (ready(id)) {
           cand.push_back(id);
           total += find_stream(id)->weight;
@@ -319,11 +325,11 @@ std::uint32_t Connection::pick_ready_stream() {
       return cand.back();
     }
     case SchedulerKind::kRoundRobin: {
-      if (rr_order_.empty()) return 0;
+      // Every visited stream rotates to the back, ready or not, so quanta
+      // alternate; a full pass without a ready stream is the identity.
       for (std::size_t i = 0; i < rr_order_.size(); ++i) {
-        const std::uint32_t id = rr_order_.front();
-        rr_order_.erase(rr_order_.begin());
-        rr_order_.push_back(id);  // rotate regardless, so quanta alternate
+        const std::uint32_t id = rr_order_[rr_front_];
+        rr_front_ = (rr_front_ + 1) % rr_order_.size();
         if (ready(id)) return id;
       }
       return 0;
@@ -369,16 +375,18 @@ void Connection::pump() {
                           std::min(s.send_window().available(),
                                    conn_send_window_.available())));
     }
-    Frame f;
+    FrameView f;
     f.type = FrameType::kData;
     f.stream_id = id;
-    f.payload = s.dequeue(n);
-    const bool end = s.queued_bytes() == 0 && s.end_stream_queued();
+    f.payload = s.queued().first(n);
+    const bool end = n == s.queued_bytes() && s.end_stream_queued();
     if (end) f.flags |= flags::kEndStream;
 
     s.send_window().consume(static_cast<std::int64_t>(n));
     conn_send_window_.consume(static_cast<std::int64_t>(n));
-    write_frame(std::move(f));
+    write_frame(f);
+    if (dead_) return;  // TLS refused the record and the connection died
+    s.consume(n);
 
     if (end) {
       const StreamState before = s.state();
@@ -390,29 +398,25 @@ void Connection::pump() {
   }
 }
 
-void Connection::on_plaintext(std::span<const std::uint8_t> bytes) {
+void Connection::on_plaintext() {
   obs::ProfileScope prof(obs::Component::kH2);
   if (is_server_ && !preface_received_) {
-    preface_buffer_.insert(preface_buffer_.end(), bytes.begin(), bytes.end());
-    if (preface_buffer_.size() < 24) return;
+    // The preface arrives in the decoder's input ahead of the first frame.
+    sim::ByteQueue& in = decoder_.input();
     const auto expected = client_preface();
-    if (!std::equal(expected.begin(), expected.end(), preface_buffer_.begin())) {
+    if (in.size() < expected.size()) return;
+    if (!std::equal(expected.begin(), expected.end(), in.view().begin())) {
       connection_error(ErrorCode::kProtocolError, "bad connection preface");
       return;
     }
     preface_received_ = true;
-    const std::vector<std::uint8_t> rest(preface_buffer_.begin() + 24,
-                                         preface_buffer_.end());
-    preface_buffer_.clear();
-    decoder_.feed(rest);
-  } else {
-    decoder_.feed(bytes);
+    in.consume(expected.size());
   }
 
-  while (auto f = decoder_.next()) {
+  while (const auto f = decoder_.next()) {
     ++stats_.frames_received;
     metrics_.frames_received.inc();
-    handle_frame(std::move(*f));
+    handle_frame(*f);
     if (dead_) return;
   }
   if (decoder_.error()) {
@@ -420,7 +424,7 @@ void Connection::on_plaintext(std::span<const std::uint8_t> bytes) {
   }
 }
 
-void Connection::handle_frame(Frame&& f) {
+void Connection::handle_frame(const FrameView& f) {
   sim::logf(sim::LogLevel::kTrace, loop_.now(), is_server_ ? "h2.srv" : "h2.cli",
             "recv %s sid=%u len=%zu flags=%02x", to_string(f.type), f.stream_id,
             f.payload.size(), f.flags);
@@ -443,20 +447,20 @@ void Connection::handle_frame(Frame&& f) {
 
   switch (f.type) {
     case FrameType::kData: handle_data(f); return;
-    case FrameType::kHeaders: handle_headers(std::move(f)); return;
+    case FrameType::kHeaders: handle_headers(f); return;
     case FrameType::kPriority: handle_priority(f); return;
     case FrameType::kRstStream: handle_rst(f); return;
     case FrameType::kSettings: handle_settings(f); return;
-    case FrameType::kPushPromise: handle_push_promise(std::move(f)); return;
+    case FrameType::kPushPromise: handle_push_promise(f); return;
     case FrameType::kPing: handle_ping(f); return;
     case FrameType::kGoaway: handle_goaway(f); return;
     case FrameType::kWindowUpdate: handle_window_update(f); return;
-    case FrameType::kContinuation: handle_continuation(std::move(f)); return;
+    case FrameType::kContinuation: handle_continuation(f); return;
   }
   // Unknown frame types are ignored (§4.1).
 }
 
-void Connection::handle_data(const Frame& f) {
+void Connection::handle_data(const FrameView& f) {
   if (f.stream_id == 0) {
     connection_error(ErrorCode::kProtocolError, "DATA on stream 0");
     return;
@@ -476,7 +480,7 @@ void Connection::handle_data(const Frame& f) {
     s->on_recv_data(end);
     stats_.data_bytes_received += f.payload.size();
     trace_stream_state(f.stream_id, before);
-    on_remote_data(f.stream_id, std::span(f.payload), end);
+    on_remote_data(f.stream_id, f.payload, end);
     replenish_recv_windows(f.stream_id, f.payload.size());
     destroy_stream_if_closed(f.stream_id);
   } else {
@@ -502,7 +506,7 @@ void Connection::replenish_recv_windows(std::uint32_t stream_id,
     wu.stream_id = 0;
     wu.payload = encode_window_update(static_cast<std::uint32_t>(conn_recv_consumed_));
     conn_recv_consumed_ = 0;
-    write_frame(std::move(wu));
+    write_frame(wu.view());
   }
 
   if (stream_id == 0) return;
@@ -517,16 +521,16 @@ void Connection::replenish_recv_windows(std::uint32_t stream_id,
     swu.type = FrameType::kWindowUpdate;
     swu.stream_id = stream_id;
     swu.payload = encode_window_update(credit);
-    write_frame(std::move(swu));
+    write_frame(swu.view());
   }
 }
 
-void Connection::handle_headers(Frame&& f) {
+void Connection::handle_headers(const FrameView& f) {
   if (f.stream_id == 0) {
     connection_error(ErrorCode::kProtocolError, "HEADERS on stream 0");
     return;
   }
-  std::span<const std::uint8_t> block(f.payload);
+  std::span<const std::uint8_t> block = f.payload;
   // Strip optional priority fields (PRIORITY flag).
   if (f.has_flag(flags::kPriority)) {
     if (block.size() < 5) {
@@ -547,7 +551,7 @@ void Connection::handle_headers(Frame&& f) {
   }
 }
 
-void Connection::handle_continuation(Frame&& f) {
+void Connection::handle_continuation(const FrameView& f) {
   if (!assembling_headers_ || f.stream_id != assembling_stream_) {
     connection_error(ErrorCode::kProtocolError, "unexpected CONTINUATION");
     return;
@@ -602,7 +606,7 @@ void Connection::finish_header_block(std::uint32_t stream_id, bool end_stream,
   destroy_stream_if_closed(stream_id);
 }
 
-void Connection::handle_settings(const Frame& f) {
+void Connection::handle_settings(const FrameView& f) {
   if (f.stream_id != 0) {
     connection_error(ErrorCode::kProtocolError, "SETTINGS on non-zero stream");
     return;
@@ -649,11 +653,11 @@ void Connection::handle_settings(const Frame& f) {
   Frame ack;
   ack.type = FrameType::kSettings;
   ack.flags = flags::kAck;
-  write_frame(std::move(ack));
+  write_frame(ack.view());
   pump();
 }
 
-void Connection::handle_rst(const Frame& f) {
+void Connection::handle_rst(const FrameView& f) {
   auto code = parse_rst_stream(f.payload);
   if (!code || f.stream_id == 0) {
     connection_error(ErrorCode::kProtocolError, "bad RST_STREAM");
@@ -684,7 +688,7 @@ void Connection::handle_rst(const Frame& f) {
   pump();  // capacity freed: other streams may proceed
 }
 
-void Connection::handle_window_update(const Frame& f) {
+void Connection::handle_window_update(const FrameView& f) {
   auto inc = parse_window_update(f.payload);
   if (!inc) {
     connection_error(ErrorCode::kFrameSizeError, "bad WINDOW_UPDATE");
@@ -708,20 +712,18 @@ void Connection::handle_window_update(const Frame& f) {
   pump();
 }
 
-void Connection::handle_ping(const Frame& f) {
+void Connection::handle_ping(const FrameView& f) {
   if (f.payload.size() != 8 || f.stream_id != 0) {
     connection_error(ErrorCode::kFrameSizeError, "bad PING");
     return;
   }
   if (f.has_flag(flags::kAck)) return;
-  Frame ack;
-  ack.type = FrameType::kPing;
+  FrameView ack = f;  // echoes the payload in place
   ack.flags = flags::kAck;
-  ack.payload = f.payload;
-  write_frame(std::move(ack));
+  write_frame(ack);
 }
 
-void Connection::handle_goaway(const Frame& f) {
+void Connection::handle_goaway(const FrameView& f) {
   auto g = parse_goaway(f.payload);
   if (!g) {
     connection_error(ErrorCode::kFrameSizeError, "bad GOAWAY");
@@ -731,13 +733,13 @@ void Connection::handle_goaway(const Frame& f) {
   on_remote_goaway(*g);
 }
 
-void Connection::handle_priority(const Frame& f) {
+void Connection::handle_priority(const FrameView& f) {
   auto p = parse_priority(f.payload);
   if (!p || f.stream_id == 0) return;  // lenient
   if (Stream* s = find_stream(f.stream_id)) s->weight = p->weight;
 }
 
-void Connection::handle_push_promise(Frame&& f) {
+void Connection::handle_push_promise(const FrameView& f) {
   if (is_server_) {
     connection_error(ErrorCode::kProtocolError, "PUSH_PROMISE from client");
     return;

@@ -117,7 +117,7 @@ class Connection {
   /// Observation hook invoked for every frame written, in wire order. Used
   /// by the experiment harness to build the ground-truth wire log (each
   /// frame becomes exactly one TLS record).
-  void set_frame_tap(std::function<void(const Frame&, sim::TimePoint)> tap) {
+  void set_frame_tap(std::function<void(const FrameView&, sim::TimePoint)> tap) {
     frame_tap_ = std::move(tap);
   }
 
@@ -143,7 +143,9 @@ class Connection {
   /// must use the same dynamic table).
   hpack::Encoder& header_encoder() { return hpack_encoder_; }
   void connection_error(ErrorCode code, const std::string& msg);
-  void write_frame(Frame&& f);
+  /// Sends one frame as one TLS record. The payload is read in place: only
+  /// TLS sealing touches it, straight into the TCP send queue.
+  void write_frame(const FrameView& f);
   void pump();
 
   sim::EventLoop& loop_;
@@ -176,29 +178,28 @@ class Connection {
 
  private:
   void on_tls_established();
-  void on_plaintext(std::span<const std::uint8_t> bytes);
-  void handle_frame(Frame&& f);
-  void handle_data(const Frame& f);
-  void handle_headers(Frame&& f);
-  void handle_continuation(Frame&& f);
+  /// Decodes the frames TLS has just decrypted into decoder_'s input.
+  void on_plaintext();
+  void handle_frame(const FrameView& f);
+  void handle_data(const FrameView& f);
+  void handle_headers(const FrameView& f);
+  void handle_continuation(const FrameView& f);
   void finish_header_block(std::uint32_t stream_id, bool end_stream,
                            bool is_push_promise, std::uint32_t promised_id);
-  void handle_settings(const Frame& f);
-  void handle_rst(const Frame& f);
-  void handle_window_update(const Frame& f);
-  void handle_ping(const Frame& f);
-  void handle_goaway(const Frame& f);
-  void handle_priority(const Frame& f);
-  void handle_push_promise(Frame&& f);
+  void handle_settings(const FrameView& f);
+  void handle_rst(const FrameView& f);
+  void handle_window_update(const FrameView& f);
+  void handle_ping(const FrameView& f);
+  void handle_goaway(const FrameView& f);
+  void handle_priority(const FrameView& f);
+  void handle_push_promise(const FrameView& f);
   void send_initial_settings();
   std::uint32_t pick_ready_stream();
   void replenish_recv_windows(std::uint32_t stream_id, std::size_t consumed);
 
-  FrameDecoder decoder_;
+  FrameDecoder decoder_;  // TLS decrypts into its input queue
   hpack::Encoder hpack_encoder_;
   hpack::Decoder hpack_decoder_;
-  std::vector<std::uint8_t> preface_buffer_;
-  std::vector<std::uint8_t> wire_scratch_;  // reused by write_frame
 
   // CONTINUATION reassembly state.
   bool assembling_headers_ = false;
@@ -208,8 +209,14 @@ class Connection {
   std::uint32_t assembling_promised_ = 0;
   std::vector<std::uint8_t> header_block_;
 
-  std::vector<std::uint32_t> rr_order_;  // round-robin rotation state
-  std::function<void(const Frame&, sim::TimePoint)> frame_tap_;
+  // Round-robin rotation: the logical order is rr_order_ read from index
+  // rr_front_, wrapping around, so a rotation only moves the index.
+  std::vector<std::uint32_t> rr_order_;
+  std::size_t rr_front_ = 0;
+  std::uint32_t rr_at(std::size_t k) const {
+    return rr_order_[(rr_front_ + k) % rr_order_.size()];
+  }
+  std::function<void(const FrameView&, sim::TimePoint)> frame_tap_;
 
   // Process-wide observability handles (aggregate across connections).
   struct Metrics {

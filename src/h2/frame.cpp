@@ -1,5 +1,7 @@
 #include "h2/frame.hpp"
 
+#include <algorithm>
+
 namespace h2sim::h2 {
 namespace {
 
@@ -60,57 +62,44 @@ const char* to_string(ErrorCode e) {
   return "UNKNOWN";
 }
 
+std::array<std::uint8_t, kFrameHeaderBytes> frame_header(const FrameView& f) {
+  const auto len = static_cast<std::uint32_t>(f.payload.size());
+  const std::uint32_t sid = f.stream_id & 0x7fffffff;
+  return {static_cast<std::uint8_t>(len >> 16), static_cast<std::uint8_t>(len >> 8),
+          static_cast<std::uint8_t>(len),       static_cast<std::uint8_t>(f.type),
+          f.flags,                              static_cast<std::uint8_t>(sid >> 24),
+          static_cast<std::uint8_t>(sid >> 16), static_cast<std::uint8_t>(sid >> 8),
+          static_cast<std::uint8_t>(sid)};
+}
+
 std::vector<std::uint8_t> serialize_frame(const Frame& f) {
-  std::vector<std::uint8_t> out;
-  serialize_frame(f, out);
+  const auto header = frame_header(f.view());
+  std::vector<std::uint8_t> out(kFrameHeaderBytes + f.payload.size());
+  std::copy(header.begin(), header.end(), out.begin());
+  std::copy(f.payload.begin(), f.payload.end(), out.begin() + kFrameHeaderBytes);
   return out;
 }
 
-void serialize_frame(const Frame& f, std::vector<std::uint8_t>& out) {
-  out.clear();
-  out.reserve(kFrameHeaderBytes + f.payload.size());
-  const std::uint32_t len = static_cast<std::uint32_t>(f.payload.size());
-  out.push_back(static_cast<std::uint8_t>(len >> 16));
-  out.push_back(static_cast<std::uint8_t>(len >> 8));
-  out.push_back(static_cast<std::uint8_t>(len));
-  out.push_back(static_cast<std::uint8_t>(f.type));
-  out.push_back(f.flags);
-  put_u32(out, f.stream_id & 0x7fffffff);
-  out.insert(out.end(), f.payload.begin(), f.payload.end());
-}
-
-void FrameDecoder::feed(std::span<const std::uint8_t> bytes) {
-  if (head_ == buf_.size()) {
-    buf_.clear();
-    head_ = 0;
-  } else if (head_ >= 4096 && head_ >= buf_.size() - head_) {
-    buf_.erase(buf_.begin(), buf_.begin() + static_cast<std::ptrdiff_t>(head_));
-    head_ = 0;
-  }
-  buf_.insert(buf_.end(), bytes.begin(), bytes.end());
-}
-
-std::optional<Frame> FrameDecoder::next() {
-  const std::uint8_t* p = buf_.data() + head_;
-  const std::size_t avail = buf_.size() - head_;
-  if (error_ || avail < kFrameHeaderBytes) return std::nullopt;
-  const std::size_t len = static_cast<std::size_t>(p[0]) << 16 |
-                          static_cast<std::size_t>(p[1]) << 8 | p[2];
+std::optional<FrameView> FrameDecoder::next() {
+  const std::span<const std::uint8_t> in = buf_.view();
+  if (error_ || in.size() < kFrameHeaderBytes) return std::nullopt;
+  const std::size_t len = static_cast<std::size_t>(in[0]) << 16 |
+                          static_cast<std::size_t>(in[1]) << 8 | in[2];
   if (len > max_frame_size_) {
     error_ = true;
     return std::nullopt;
   }
-  if (avail < kFrameHeaderBytes + len) return std::nullopt;
+  if (in.size() < kFrameHeaderBytes + len) return std::nullopt;
 
-  Frame f;
-  f.type = static_cast<FrameType>(p[3]);
-  f.flags = p[4];
-  f.stream_id = (static_cast<std::uint32_t>(p[5]) << 24 |
-                 static_cast<std::uint32_t>(p[6]) << 16 |
-                 static_cast<std::uint32_t>(p[7]) << 8 | p[8]) &
+  FrameView f;
+  f.type = static_cast<FrameType>(in[3]);
+  f.flags = in[4];
+  f.stream_id = (static_cast<std::uint32_t>(in[5]) << 24 |
+                 static_cast<std::uint32_t>(in[6]) << 16 |
+                 static_cast<std::uint32_t>(in[7]) << 8 | in[8]) &
                 0x7fffffff;
-  f.payload.assign(p + kFrameHeaderBytes, p + kFrameHeaderBytes + len);
-  head_ += kFrameHeaderBytes + len;
+  f.payload = in.subspan(kFrameHeaderBytes, len);
+  buf_.consume(kFrameHeaderBytes + len);
   return f;
 }
 

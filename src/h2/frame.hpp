@@ -1,10 +1,13 @@
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <span>
 #include <string>
 #include <vector>
+
+#include "sim/byte_queue.hpp"
 
 namespace h2sim::h2 {
 
@@ -71,7 +74,19 @@ struct SettingsEntry {
   std::uint32_t value;
 };
 
-/// One HTTP/2 frame: 9-byte header + payload.
+/// One HTTP/2 frame whose payload lives elsewhere: in the decoder's input
+/// queue for a received frame, or in the sender's own storage (a stream's
+/// send queue, a Frame) for one being written.
+struct FrameView {
+  FrameType type = FrameType::kData;
+  std::uint8_t flags = 0;
+  std::uint32_t stream_id = 0;  // 31 bits; high bit reserved
+  std::span<const std::uint8_t> payload;
+
+  bool has_flag(std::uint8_t f) const { return (flags & f) != 0; }
+};
+
+/// One HTTP/2 frame that owns its payload: 9-byte header + payload.
 struct Frame {
   FrameType type = FrameType::kData;
   std::uint8_t flags = 0;
@@ -80,29 +95,33 @@ struct Frame {
 
   bool has_flag(std::uint8_t f) const { return (flags & f) != 0; }
   std::size_t wire_size() const { return kFrameHeaderBytes + payload.size(); }
+  FrameView view() const { return {type, flags, stream_id, payload}; }
 };
 
+/// The 9-byte wire header of `f` (length, type, flags, stream id).
+std::array<std::uint8_t, kFrameHeaderBytes> frame_header(const FrameView& f);
+
 std::vector<std::uint8_t> serialize_frame(const Frame& f);
-/// Serializes into `out`, replacing its contents and reusing its capacity.
-void serialize_frame(const Frame& f, std::vector<std::uint8_t>& out);
 
 /// Incremental frame decoder over an in-order byte stream.
 class FrameDecoder {
  public:
   void set_max_frame_size(std::size_t n) { max_frame_size_ = n; }
-  void feed(std::span<const std::uint8_t> bytes);
+  void feed(std::span<const std::uint8_t> bytes) { buf_.append(bytes); }
 
-  /// Next complete frame, or nullopt. After an oversized frame, error() is
+  /// The decoder's input queue, for a producer that writes the stream in
+  /// place (TlsSession::set_plaintext_queue); appending to it is feeding.
+  sim::ByteQueue& input() { return buf_; }
+
+  /// Next complete frame, or nullopt. The payload is a view into the input
+  /// queue, valid until the next feed. After an oversized frame, error() is
   /// set and no further frames are produced (FRAME_SIZE_ERROR connection
   /// error per §4.2).
-  std::optional<Frame> next();
+  std::optional<FrameView> next();
   bool error() const { return error_; }
 
  private:
-  // Flat buffer with a consumed-prefix offset, compacted like
-  // tls::RecordParser's: each payload leaves in one contiguous copy.
-  std::vector<std::uint8_t> buf_;
-  std::size_t head_ = 0;
+  sim::ByteQueue buf_;
   std::size_t max_frame_size_ = kDefaultMaxFrameSize;
   bool error_ = false;
 };

@@ -31,7 +31,7 @@ std::uint32_t ServerConnection::push(std::uint32_t parent,
   f.flags = flags::kEndHeaders;
   f.payload = encode_push_promise(promised, block);
   ++stats_.push_promises_sent;
-  write_frame(std::move(f));
+  write_frame(f.view());
   return promised;
 }
 

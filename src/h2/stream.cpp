@@ -88,31 +88,4 @@ bool Stream::on_recv_push_promise() {
   return true;
 }
 
-void Stream::enqueue(std::span<const std::uint8_t> bytes, bool end_stream) {
-  if (head_ == queue_.size()) {
-    queue_.clear();
-    head_ = 0;
-  } else if (head_ >= 4096 && head_ >= queue_.size() - head_) {
-    // Reclaim the consumed prefix once it dominates the buffer.
-    queue_.erase(queue_.begin(), queue_.begin() + static_cast<std::ptrdiff_t>(head_));
-    head_ = 0;
-  }
-  queue_.insert(queue_.end(), bytes.begin(), bytes.end());
-  if (end_stream) end_queued_ = true;
-}
-
-std::vector<std::uint8_t> Stream::dequeue(std::size_t n) {
-  n = std::min(n, queue_.size() - head_);
-  const std::uint8_t* p = queue_.data() + head_;
-  std::vector<std::uint8_t> out(p, p + n);
-  head_ += n;
-  return out;
-}
-
-void Stream::flush_queue() {
-  queue_.clear();
-  head_ = 0;
-  end_queued_ = false;
-}
-
 }  // namespace h2sim::h2

@@ -113,13 +113,12 @@ void TcpConnection::emit(std::uint8_t flags, std::uint32_t seq,
   p.sent_at = loop_.now();
   p.is_retransmission = retransmission;
   if (payload_len > 0) {
-    const std::size_t off = send_head_ + (seq - buf_seq_);
-    assert(off + payload_len <= send_buf_.size());
+    const std::span<const std::uint8_t> src =
+        send_q_.view().subspan(seq - buf_seq_, payload_len);
     // Recycled buffer: the assign reuses pooled capacity, so steady-state
     // segment emission performs no heap allocation.
     p.payload = loop_.payload_pool().acquire();
-    const std::uint8_t* src = send_buf_.data() + off;
-    p.payload.assign(src, src + payload_len);
+    p.payload.assign(src.begin(), src.end());
   }
   ++stats_.segments_sent;
   metrics_.segments_sent.inc();
@@ -137,22 +136,24 @@ void TcpConnection::connect() {
   arm_rto();
 }
 
-void TcpConnection::send(std::span<const std::uint8_t> data) {
-  if (state_ == State::kAborted || fin_pending_ || fin_sent_) return;
-  if (send_buf_bytes() + data.size() > cfg_.send_buffer_limit) {
+bool TcpConnection::send(std::span<const std::uint8_t> data) {
+  const std::span<std::uint8_t> out = send_space(data.size());
+  if (out.size() != data.size()) return false;
+  std::copy(data.begin(), data.end(), out.begin());
+  push();
+  return true;
+}
+
+std::span<std::uint8_t> TcpConnection::send_space(std::size_t n) {
+  if (!accepts_data()) return {};
+  if (send_q_.size() + n > cfg_.send_buffer_limit) {
     sim::logf(sim::LogLevel::kWarn, loop_.now(), "tcp", "send buffer overflow");
-    return;
+    return {};
   }
-  if (send_head_ == send_buf_.size()) {
-    send_buf_.clear();
-    send_head_ = 0;
-  } else if (send_head_ >= 4096 && send_head_ >= send_buf_bytes()) {
-    // Reclaim the acked prefix once it dominates the buffer.
-    send_buf_.erase(send_buf_.begin(),
-                    send_buf_.begin() + static_cast<std::ptrdiff_t>(send_head_));
-    send_head_ = 0;
-  }
-  send_buf_.insert(send_buf_.end(), data.begin(), data.end());
+  return send_q_.grow(n);
+}
+
+void TcpConnection::push() {
   if (state_ == State::kEstablished || state_ == State::kCloseWait) try_send();
 }
 
@@ -188,7 +189,7 @@ void TcpConnection::try_send() {
       state_ != State::kFinWait1 && state_ != State::kLastAck) {
     return;
   }
-  const std::uint32_t buf_end = buf_seq_ + static_cast<std::uint32_t>(send_buf_bytes());
+  const std::uint32_t buf_end = buf_seq_ + static_cast<std::uint32_t>(send_q_.size());
   const bool was_idle = snd_una_ == snd_nxt_;
   bool sent_any = false;
   for (;;) {
@@ -218,7 +219,7 @@ void TcpConnection::try_send() {
 
 void TcpConnection::maybe_send_fin() {
   if (!fin_pending_ || fin_sent_) return;
-  const std::uint32_t buf_end = buf_seq_ + static_cast<std::uint32_t>(send_buf_bytes());
+  const std::uint32_t buf_end = buf_seq_ + static_cast<std::uint32_t>(send_q_.size());
   if (seq_lt(snd_nxt_, buf_end)) return;  // data still unsent
   fin_seq_ = snd_nxt_;
   fin_sent_ = true;
@@ -229,7 +230,7 @@ void TcpConnection::maybe_send_fin() {
 
 void TcpConnection::retransmit_from(std::uint32_t seq, const char* why,
                                     bool rto_driven) {
-  const std::uint32_t buf_end = buf_seq_ + static_cast<std::uint32_t>(send_buf_bytes());
+  const std::uint32_t buf_end = buf_seq_ + static_cast<std::uint32_t>(send_q_.size());
   if (fin_sent_ && seq == fin_seq_) {
     emit(kFin | kAck, fin_seq_, 0, true);
   } else if (seq_lt(seq, buf_end)) {
@@ -495,8 +496,8 @@ void TcpConnection::on_new_ack(std::uint32_t ack, std::size_t newly_acked) {
   if (fin_sent_ && seq_gt(ack, fin_seq_)) data_end = fin_seq_;
   if (seq_gt(data_end, buf_seq_)) {
     std::size_t n = data_end - buf_seq_;
-    n = std::min(n, send_buf_bytes());
-    send_head_ += n;
+    n = std::min(n, send_q_.size());
+    send_q_.consume(n);
     buf_seq_ += static_cast<std::uint32_t>(n);
   }
 
@@ -581,15 +582,19 @@ void TcpConnection::handle_payload(const net::Packet& p) {
         // packets the application emits during delivery must carry the final
         // cumulative acknowledgment, exactly like a real stack that
         // processes the segment batch before the app runs.
-        const std::size_t skip = rcv_nxt_ - seq;
-        std::vector<std::uint8_t> ready = loop_.payload_pool().acquire();
-        ready.assign(p.payload.begin() + static_cast<std::ptrdiff_t>(skip),
-                     p.payload.end());
+        const std::span<const std::uint8_t> fresh =
+            std::span(p.payload).subspan(rcv_nxt_ - seq);
         rcv_nxt_ = end;
-        collect_in_order(ready);
-        stats_.bytes_received += ready.size();
-        if (cbs_.on_data) cbs_.on_data(std::span(ready));
-        loop_.payload_pool().release(std::move(ready));
+        if (ooo_.empty() || seq_gt(ooo_.front().seq, end)) {
+          // Nothing queued joins this segment: deliver straight from it.
+          deliver(fresh);
+        } else {
+          std::vector<std::uint8_t> ready = loop_.payload_pool().acquire();
+          ready.assign(fresh.begin(), fresh.end());
+          collect_in_order(ready);
+          deliver(ready);
+          loop_.payload_pool().release(std::move(ready));
+        }
       } else {
         ++stats_.dup_acks_sent;  // pure duplicate segment
       }
@@ -614,6 +619,11 @@ void TcpConnection::handle_payload(const net::Packet& p) {
   // fast retransmits.
   const bool advanced = rcv_nxt_ != rcv_before;
   if (!advanced || last_ack_sent_ != rcv_nxt_) send_ack();
+}
+
+void TcpConnection::deliver(std::span<const std::uint8_t> bytes) {
+  stats_.bytes_received += bytes.size();
+  if (cbs_.on_data) cbs_.on_data(bytes);
 }
 
 void TcpConnection::collect_in_order(std::vector<std::uint8_t>& ready) {

@@ -10,6 +10,7 @@
 
 #include "net/packet.hpp"
 #include "obs/metrics.hpp"
+#include "sim/byte_queue.hpp"
 #include "sim/event_loop.hpp"
 #include "tcp/tcp_types.hpp"
 
@@ -61,8 +62,25 @@ class TcpConnection {
   /// Active open: sends SYN.
   void connect();
 
-  /// Queues application bytes for in-order delivery to the peer.
-  void send(std::span<const std::uint8_t> data);
+  /// Queues a copy of `data` for in-order delivery to the peer and
+  /// transmits what the windows allow. Returns false, queueing nothing, when
+  /// send_space() would refuse it.
+  bool send(std::span<const std::uint8_t> data);
+
+  /// False once the connection is aborted or closing: it no longer takes
+  /// bytes to send.
+  bool accepts_data() const {
+    return state_ != State::kAborted && !fin_pending_ && !fin_sent_;
+  }
+
+  /// Appends `n` bytes to the send queue and returns them for the caller to
+  /// write in place; push() then transmits them. Returns an empty span,
+  /// queueing nothing, when the connection no longer accepts data or `n`
+  /// more bytes would exceed TcpConfig::send_buffer_limit.
+  std::span<std::uint8_t> send_space(std::size_t n);
+
+  /// Transmits queued bytes as far as the windows allow.
+  void push();
 
   /// Graceful close: FIN after all queued data.
   void close();
@@ -87,7 +105,7 @@ class TcpConnection {
   net::Port remote_port() const { return remote_port_; }
   std::size_t bytes_in_flight() const { return snd_nxt_ - snd_una_; }
   std::size_t unsent_bytes() const {
-    return (buf_seq_ + static_cast<std::uint32_t>(send_buf_bytes())) - snd_nxt_;
+    return (buf_seq_ + static_cast<std::uint32_t>(send_q_.size())) - snd_nxt_;
   }
   /// Transmitted ranges awaiting acknowledgment and buffered out-of-order
   /// segments; both are empty once every byte is acked and delivered.
@@ -126,6 +144,7 @@ class TcpConnection {
   void on_rto();
   void update_rtt(sim::Duration sample);
   void collect_in_order(std::vector<std::uint8_t>& ready);
+  void deliver(std::span<const std::uint8_t> bytes);
   void become(State s);
   void maybe_send_fin();
   void finish_if_done();
@@ -146,11 +165,9 @@ class TcpConnection {
   std::uint32_t snd_una_;
   std::uint32_t snd_nxt_;
   std::uint32_t buf_seq_;  // sequence number of the first unacked byte
-  // Unacked + unsent stream bytes: flat buffer with an acked-prefix offset,
-  // so segment emission copies from contiguous storage and acking is O(1).
-  std::vector<std::uint8_t> send_buf_;
-  std::size_t send_head_ = 0;
-  std::size_t send_buf_bytes() const { return send_buf_.size() - send_head_; }
+  // Unacked + unsent stream bytes, starting at buf_seq_: segments copy from
+  // contiguous storage and an ACK consumes the acked prefix.
+  sim::ByteQueue send_q_;
   std::size_t cwnd_;
   std::size_t ssthresh_;
   std::size_t peer_wnd_ = 65535;
@@ -162,8 +179,8 @@ class TcpConnection {
   std::uint32_t fin_seq_ = 0;
 
   // Retransmit queue in sequence order of `seq` (relative to snd_una_), with
-  // a consumed-head offset like send_buf_: an ACK visits only the records
-  // that start before it, since only those can end at or before it.
+  // a consumed-head offset: an ACK visits only the records that start
+  // before it, since only those can end at or before it.
   std::vector<TxRecord> tx_queue_;
   std::size_t tx_head_ = 0;
   sim::Duration rto_;

@@ -1,10 +1,12 @@
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <span>
 #include <vector>
+
+#include "sim/byte_queue.hpp"
 
 namespace h2sim::tls {
 
@@ -33,38 +35,59 @@ struct RecordHeader {
 std::vector<std::uint8_t> serialize_record(const RecordHeader& h,
                                            std::span<const std::uint8_t> body);
 
-/// Incremental record-stream parser. Feed raw TCP bytes in order; records pop
-/// out complete. Used both by the legitimate endpoints and by the adversary's
-/// traffic monitor (which can parse headers because they are never encrypted).
+/// One record whose body lives elsewhere: in the bytes fed to a
+/// RecordParser, or in its queue for a record split across feeds.
+struct RecordView {
+  RecordHeader header;
+  std::span<const std::uint8_t> body;
+};
+
+/// Incremental record-stream parser for the endpoints. Feed raw TCP bytes
+/// in order; each complete record comes out as its header and a view of its
+/// body. A record that lies wholly inside one feed() is parsed in place in
+/// the caller's bytes; only a record split across feeds is copied, into an
+/// internal queue, until its last byte arrives.
+///
+/// View lifetime: a body view stays valid until the next feed(), or until
+/// next() returns nullopt (which is when a trailing partial record is
+/// copied aside). The bytes passed to feed() must stay valid until then too.
 class RecordParser {
  public:
-  struct Record {
-    RecordHeader header;
-    std::vector<std::uint8_t> body;
-  };
-
   void feed(std::span<const std::uint8_t> bytes);
 
   /// Pops the next complete record, if any.
-  std::optional<Record> next();
+  std::optional<RecordView> next();
 
-  /// Pops the next complete record into `out`, reusing its body capacity.
-  /// The allocation-free variant for per-record hot loops.
-  bool next(Record& out);
-
-  /// Pops the next complete record's header, discarding the body without
-  /// copying it. For observers that only need record framing.
-  bool next_header(RecordHeader& out);
-
-  /// Bytes buffered but not yet forming a complete record.
-  std::size_t pending_bytes() const { return buf_.size() - head_; }
+  /// Bytes fed but not yet returned in a record.
+  std::size_t pending_bytes() const {
+    return partial_.size() - partial_done_ + in_.size();
+  }
 
  private:
-  // Flat buffer with a consumed-prefix offset: records are parsed from
-  // contiguous storage (one memcpy per body) and the prefix is reclaimed
-  // lazily, instead of paying deque segment walks on every record.
-  std::vector<std::uint8_t> buf_;
-  std::size_t head_ = 0;
+  std::span<const std::uint8_t> in_;  // unparsed rest of the current feed
+  sim::ByteQueue partial_;            // a record split across feeds
+  std::size_t partial_done_ = 0;      // a completed record still at partial_'s front
+};
+
+/// Header-only record framing for observers that need record lengths and
+/// never bodies (the adversary's monitor, and so the offline capture
+/// reassembler). It holds at most the 5 header bytes of the current record
+/// and counts its body bytes without storing them.
+class RecordHeaderFramer {
+ public:
+  /// Consumes `bytes` from the front up to and including the last byte of
+  /// the next record that completes in them, and returns that record's
+  /// header; otherwise consumes all of `bytes` and returns nullopt. Call
+  /// until nullopt to see every record a feed completes.
+  std::optional<RecordHeader> next(std::span<const std::uint8_t>& bytes);
+
+  /// True when no byte of the next record has been seen yet.
+  bool at_record_boundary() const { return header_have_ == 0; }
+
+ private:
+  std::array<std::uint8_t, kRecordHeaderBytes> header_{};
+  std::size_t header_have_ = 0;
+  std::size_t body_left_ = 0;  // body bytes still to come, once the header is in
 };
 
 }  // namespace h2sim::tls

@@ -4,7 +4,6 @@
 #include <array>
 #include <bit>
 #include <cstring>
-#include <vector>
 
 #include "obs/profiler.hpp"
 
@@ -68,20 +67,41 @@ void TlsSession::on_tcp_connected() {
 }
 
 void TlsSession::send_handshake_flight(std::size_t size) {
-  std::vector<std::uint8_t> body(size);
+  std::uint8_t* body = begin_record(ContentType::kHandshake, size);
+  if (body == nullptr) return;
   for (std::size_t i = 0; i < size; ++i) {
     body[i] = static_cast<std::uint8_t>(mix64(session_key_ + i) & 0xff);
   }
-  send_record(ContentType::kHandshake, body);
+  end_record();
 }
 
 void TlsSession::send_record(ContentType type, std::span<const std::uint8_t> body) {
-  RecordHeader h;
-  h.type = type;
-  h.length = static_cast<std::uint16_t>(body.size());
-  const std::vector<std::uint8_t> wire = serialize_record(h, body);
+  std::uint8_t* out = begin_record(type, body.size());
+  if (out == nullptr) return;
+  std::copy(body.begin(), body.end(), out);
+  end_record();
+}
+
+std::uint8_t* TlsSession::begin_record(ContentType type, std::size_t body_len) {
+  if (!conn_.accepts_data()) return nullptr;
+  const std::span<std::uint8_t> out = conn_.send_space(kRecordHeaderBytes + body_len);
+  if (out.empty()) {
+    // Refused before anything was sealed, so the keystream counter still
+    // matches the peer's; failing beats silently skipping a record.
+    fail("tls-send-buffer-full");
+    return nullptr;
+  }
+  out[0] = static_cast<std::uint8_t>(type);
+  out[1] = static_cast<std::uint8_t>(kTlsVersion >> 8);
+  out[2] = static_cast<std::uint8_t>(kTlsVersion & 0xff);
+  out[3] = static_cast<std::uint8_t>(body_len >> 8);
+  out[4] = static_cast<std::uint8_t>(body_len & 0xff);
+  return out.data() + kRecordHeaderBytes;
+}
+
+void TlsSession::end_record() {
   ++records_sent_;
-  conn_.send(wire);
+  conn_.push();
 }
 
 std::uint64_t TlsSession::direction_key(bool encrypt) const {
@@ -191,47 +211,43 @@ std::array<std::uint8_t, kAeadTagBytes> record_tag(std::uint64_t key,
 }
 
 bool unprotect(std::uint64_t key, std::uint64_t stream_off,
-               std::span<const std::uint8_t> body,
-               std::vector<std::uint8_t>& plaintext_out) {
+               std::span<const std::uint8_t> body, sim::ByteQueue& plaintext_out) {
   if (body.size() < kAeadTagBytes) return false;
   const std::size_t n = body.size() - kAeadTagBytes;
   const auto tag = record_tag(key, stream_off, body.data(), n);
   if (std::memcmp(tag.data(), body.data() + n, kAeadTagBytes) != 0) {
     return false;
   }
-  plaintext_out.resize(n);
-  apply_keystream(key, stream_off, body.data(), plaintext_out.data(), n);
+  apply_keystream(key, stream_off, body.data(), plaintext_out.grow(n).data(), n);
   return true;
 }
 
-void TlsSession::send_protected(std::span<const std::uint8_t> plaintext) {
+void TlsSession::send_protected(std::span<const std::uint8_t> a,
+                                std::span<const std::uint8_t> b) {
   obs::ProfileScope prof(obs::Component::kTls);
+  const std::size_t n = a.size() + b.size();
+  std::uint8_t* body = begin_record(ContentType::kApplicationData, n + kAeadTagBytes);
+  if (body == nullptr) return;
+  // The keystream is a function of the stream offset alone, so protecting
+  // the two pieces at consecutive offsets equals protecting their
+  // concatenation.
   const std::uint64_t key = direction_key(/*encrypt=*/true);
-  const std::size_t n = plaintext.size();
-  const std::size_t body_len = n + kAeadTagBytes;
-  wire_scratch_.resize(kRecordHeaderBytes + body_len);
-  std::uint8_t* wire = wire_scratch_.data();
-  wire[0] = static_cast<std::uint8_t>(ContentType::kApplicationData);
-  wire[1] = static_cast<std::uint8_t>(kTlsVersion >> 8);
-  wire[2] = static_cast<std::uint8_t>(kTlsVersion & 0xff);
-  wire[3] = static_cast<std::uint8_t>(body_len >> 8);
-  wire[4] = static_cast<std::uint8_t>(body_len & 0xff);
-  std::uint8_t* body = wire + kRecordHeaderBytes;
-  apply_keystream(key, encrypt_counter_, plaintext.data(), body, n);
+  apply_keystream(key, encrypt_counter_, a.data(), body, a.size());
+  apply_keystream(key, encrypt_counter_ + a.size(), b.data(), body + a.size(), b.size());
   const auto tag = record_tag(key, encrypt_counter_, body, n);
   std::memcpy(body + n, tag.data(), kAeadTagBytes);
   encrypt_counter_ += n;
-  ++records_sent_;
-  conn_.send(wire_scratch_);
+  end_record();
 }
 
-void TlsSession::write(std::span<const std::uint8_t> plaintext) {
-  if (failed_) return;
-  std::size_t pos = 0;
-  while (pos < plaintext.size()) {
-    const std::size_t n = std::min(kMaxPlaintextPerRecord, plaintext.size() - pos);
-    send_protected(plaintext.subspan(pos, n));
-    pos += n;
+void TlsSession::write(std::span<const std::uint8_t> head,
+                       std::span<const std::uint8_t> body) {
+  while (!failed_ && (!head.empty() || !body.empty())) {
+    const std::size_t a = std::min(head.size(), kMaxPlaintextPerRecord);
+    const std::size_t b = std::min(body.size(), kMaxPlaintextPerRecord - a);
+    send_protected(head.first(a), body.first(b));
+    head = head.subspan(a);
+    body = body.subspan(b);
   }
 }
 
@@ -251,28 +267,30 @@ void TlsSession::fail(std::string_view reason) {
 
 void TlsSession::on_tcp_data(std::span<const std::uint8_t> bytes) {
   obs::ProfileScope prof(obs::Component::kTls);
+  if (failed_) return;
   parser_.feed(bytes);
-  RecordParser::Record rec;  // body capacity reused across iterations
-  while (parser_.next(rec)) {
+  while (const auto rec = parser_.next()) {
     ++records_received_;
-    handle_record(rec);
+    handle_record(*rec);
     if (failed_) return;
   }
 }
 
-void TlsSession::handle_record(const RecordParser::Record& rec) {
+void TlsSession::handle_record(const RecordView& rec) {
   switch (rec.header.type) {
     case ContentType::kHandshake:
       handle_handshake_record(rec);
       return;
     case ContentType::kApplicationData: {
       if (!unprotect(direction_key(/*encrypt=*/false), decrypt_counter_,
-                     rec.body, plain_scratch_)) {
+                     rec.body, *plain_)) {
         fail("tls-bad-record-mac");
         return;
       }
-      decrypt_counter_ += plain_scratch_.size();
-      if (cbs_.on_plaintext) cbs_.on_plaintext(std::span(plain_scratch_));
+      const std::size_t n = rec.body.size() - kAeadTagBytes;
+      decrypt_counter_ += n;
+      if (cbs_.on_plaintext) cbs_.on_plaintext(plain_->view().last(n));
+      if (plain_ == &own_plain_) own_plain_.clear();
       return;
     }
     case ContentType::kAlert:
@@ -283,7 +301,7 @@ void TlsSession::handle_record(const RecordParser::Record& rec) {
   }
 }
 
-void TlsSession::handle_handshake_record(const RecordParser::Record&) {
+void TlsSession::handle_handshake_record(const RecordView&) {
   ++handshake_flights_seen_;
   if (role_ == Role::kServer) {
     if (handshake_flights_seen_ == 1) {

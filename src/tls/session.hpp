@@ -7,6 +7,7 @@
 #include <string_view>
 #include <vector>
 
+#include "sim/byte_queue.hpp"
 #include "tcp/tcp_connection.hpp"
 #include "tls/record.hpp"
 
@@ -36,12 +37,11 @@ std::array<std::uint8_t, kAeadTagBytes> record_tag(std::uint64_t key,
                                                    std::size_t n);
 
 /// Checks and decrypts one protected record body (ciphertext followed by its
-/// tag) at keystream offset `stream_off`. Returns false, leaving
-/// `plaintext_out` untouched, when the body is shorter than a tag or the tag
-/// does not match; otherwise `plaintext_out` holds the plaintext.
+/// tag) at keystream offset `stream_off`, appending the plaintext to
+/// `plaintext_out`. Returns false, leaving `plaintext_out` untouched, when the
+/// body is shorter than a tag or the tag does not match.
 bool unprotect(std::uint64_t key, std::uint64_t stream_off,
-               std::span<const std::uint8_t> body,
-               std::vector<std::uint8_t>& plaintext_out);
+               std::span<const std::uint8_t> body, sim::ByteQueue& plaintext_out);
 
 /// Simulated TLS session over a TcpConnection.
 ///
@@ -59,6 +59,8 @@ class TlsSession {
 
   struct Callbacks {
     std::function<void()> on_established;
+    /// The plaintext of one record, just appended to the plaintext queue
+    /// (see set_plaintext_queue); valid until the callback returns.
     std::function<void(std::span<const std::uint8_t>)> on_plaintext;
     std::function<void()> on_peer_close;
     std::function<void(std::string_view reason)> on_aborted;
@@ -75,6 +77,12 @@ class TlsSession {
 
   void set_callbacks(Callbacks cbs) { cbs_ = std::move(cbs); }
 
+  /// Decrypts received records straight into `q`, the consumer's own input
+  /// queue, which then owns the bytes (the consumer consumes them). Without
+  /// it, the session decrypts into a queue of its own and empties it after
+  /// each on_plaintext.
+  void set_plaintext_queue(sim::ByteQueue& q) { plain_ = &q; }
+
   /// Client only: begins the handshake once TCP connects (automatic if TCP
   /// is already established).
   void start();
@@ -86,7 +94,17 @@ class TlsSession {
   /// the granularity of their writes (HTTP/2 writes one frame per call, so
   /// frame sizes are visible as record sizes — exactly the side channel the
   /// paper studies).
-  void write(std::span<const std::uint8_t> plaintext);
+  void write(std::span<const std::uint8_t> plaintext) { write(plaintext, {}); }
+
+  /// Protects and sends the concatenation `head` ++ `body`, cut into records
+  /// exactly as one write() of it would be, without first copying the two
+  /// together (HTTP/2 passes a frame header and a view of its payload).
+  ///
+  /// Each record is sealed in place in the TCP send queue. When that queue
+  /// cannot take a record (TcpConfig::send_buffer_limit), the session fails
+  /// with "tls-send-buffer-full" instead of skipping a record the peer would
+  /// then fail to authenticate.
+  void write(std::span<const std::uint8_t> head, std::span<const std::uint8_t> body);
 
   /// Graceful close (close_notify alert + TCP FIN).
   void close();
@@ -99,13 +117,20 @@ class TlsSession {
  private:
   void on_tcp_connected();
   void on_tcp_data(std::span<const std::uint8_t> bytes);
-  void handle_record(const RecordParser::Record& rec);
-  void handle_handshake_record(const RecordParser::Record& rec);
+  void handle_record(const RecordView& rec);
+  void handle_handshake_record(const RecordView& rec);
+  /// Queues a record header in the TCP send queue and returns where its
+  /// `body_len` body bytes go, or nullptr when the record cannot be sent:
+  /// silently once TCP has stopped taking data, by failing the session when
+  /// the send queue is full.
+  std::uint8_t* begin_record(ContentType type, std::size_t body_len);
+  /// Hands a record begun with begin_record to TCP.
+  void end_record();
   void send_record(ContentType type, std::span<const std::uint8_t> body);
-  /// Protects one plaintext chunk and sends it as a single ApplicationData
-  /// record, assembling header, ciphertext and tag in place in a reused
-  /// scratch buffer (no intermediate body vector).
-  void send_protected(std::span<const std::uint8_t> plaintext);
+  /// Protects the plaintext `a` ++ `b` (at most kMaxPlaintextPerRecord bytes)
+  /// as one ApplicationData record, writing ciphertext and tag in place.
+  void send_protected(std::span<const std::uint8_t> a,
+                      std::span<const std::uint8_t> b);
   void send_handshake_flight(std::size_t size);
   void fail(std::string_view reason);
 
@@ -123,8 +148,8 @@ class TlsSession {
   std::uint64_t decrypt_counter_ = 0;
   std::uint64_t records_sent_ = 0;
   std::uint64_t records_received_ = 0;
-  std::vector<std::uint8_t> wire_scratch_;   // reused by send_protected
-  std::vector<std::uint8_t> plain_scratch_;  // reused by handle_record
+  sim::ByteQueue own_plain_;             // plaintext queue by default
+  sim::ByteQueue* plain_ = &own_plain_;  // where records decrypt to
 };
 
 }  // namespace h2sim::tls

@@ -77,12 +77,18 @@ TEST(StreamQueue, EnqueueDequeue) {
   EXPECT_TRUE(s.end_stream_queued());
   EXPECT_TRUE(s.has_pending_output());
 
-  auto chunk = s.dequeue(3);
-  EXPECT_EQ(chunk, (std::vector<std::uint8_t>{1, 2, 3}));
+  const auto chunk = s.queued().first(3);
+  EXPECT_EQ(std::vector<std::uint8_t>(chunk.begin(), chunk.end()),
+            (std::vector<std::uint8_t>{1, 2, 3}));
+  s.consume(3);
   EXPECT_EQ(s.queued_bytes(), 4u);
-  auto rest = s.dequeue(100);
-  EXPECT_EQ(rest.size(), 4u);
+  const auto rest = s.queued();
+  EXPECT_EQ(std::vector<std::uint8_t>(rest.begin(), rest.end()),
+            (std::vector<std::uint8_t>{4, 5, 6, 7}));
+  s.consume(rest.size());
+  EXPECT_EQ(s.queued_bytes(), 0u);
   EXPECT_TRUE(s.end_stream_queued());  // END_STREAM still pending
+  EXPECT_TRUE(s.has_pending_output());
 }
 
 TEST(StreamQueue, FlushDiscardsEverything) {

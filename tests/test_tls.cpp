@@ -28,7 +28,7 @@ TEST(RecordCodec, SerializeParseRoundTrip) {
   auto rec = p.next();
   ASSERT_TRUE(rec.has_value());
   EXPECT_EQ(rec->header.type, ContentType::kApplicationData);
-  EXPECT_EQ(rec->body, body);
+  EXPECT_EQ(std::vector<std::uint8_t>(rec->body.begin(), rec->body.end()), body);
   EXPECT_FALSE(p.next().has_value());
 }
 
@@ -118,15 +118,18 @@ TEST(RecordTag, TagRejectsEverySingleBitFlip) {
     const std::uint64_t off = 3 + n;  // not word-aligned
     const auto plain = pattern(n);
     auto body = protect(key, off, plain);
-    std::vector<std::uint8_t> out;
+    sim::ByteQueue out;
     ASSERT_TRUE(unprotect(key, off, body, out)) << n;
-    ASSERT_EQ(out, plain) << n;
+    ASSERT_EQ(std::vector<std::uint8_t>(out.view().begin(), out.view().end()), plain)
+        << n;
 
     std::size_t accepted = 0;
     for (std::size_t byte = 0; byte < body.size(); ++byte) {
       for (int bit = 0; bit < 8; ++bit) {
         body[byte] ^= static_cast<std::uint8_t>(1u << bit);
+        out.clear();
         if (unprotect(key, off, body, out)) ++accepted;
+        EXPECT_TRUE(out.empty());  // a rejected record appends nothing
         body[byte] ^= static_cast<std::uint8_t>(1u << bit);
       }
     }
@@ -137,7 +140,7 @@ TEST(RecordTag, TagRejectsEverySingleBitFlip) {
 TEST(RecordTag, UnprotectRejectsWrongOffsetAndShortBody) {
   const std::uint64_t key = 0x5eed5eed5eed5eedULL;
   const auto body = protect(key, 64, pattern(100));
-  std::vector<std::uint8_t> out;
+  sim::ByteQueue out;
   EXPECT_TRUE(unprotect(key, 64, body, out));
   EXPECT_FALSE(unprotect(key, 65, body, out));
   EXPECT_FALSE(unprotect(key ^ 1, 64, body, out));
@@ -150,10 +153,10 @@ class TlsPairTest : public ::testing::Test {
   void SetUp() override {
     path_ = std::make_unique<net::Path>(loop_, net::Path::Config{});
     server_stack_ = std::make_unique<tcp::TcpStack>(
-        loop_, sim::Rng(1), net::Path::kServerNode, tcp::TcpConfig{},
+        loop_, sim::Rng(1), net::Path::kServerNode, tcp_cfg_,
         [this](net::Packet&& p) { path_->send_from_server(std::move(p)); });
     client_stack_ = std::make_unique<tcp::TcpStack>(
-        loop_, sim::Rng(2), net::Path::kClientNode, tcp::TcpConfig{},
+        loop_, sim::Rng(2), net::Path::kClientNode, tcp_cfg_,
         [this](net::Packet&& p) { path_->send_from_client(std::move(p)); });
     path_->set_server_sink(
         [this](net::Packet&& p) { server_stack_->deliver(std::move(p)); });
@@ -186,6 +189,7 @@ class TlsPairTest : public ::testing::Test {
     loop_.run(loop_.now() + sim::Duration::seconds_f(seconds));
   }
 
+  tcp::TcpConfig tcp_cfg_;  // both endpoints; set before SetUp runs
   sim::EventLoop loop_;
   std::unique_ptr<net::Path> path_;
   std::unique_ptr<tcp::TcpStack> server_stack_;
@@ -280,6 +284,46 @@ TEST_F(TlsPairTest, CloseDeliversCleanTeardown) {
   run(5);
   EXPECT_TRUE(client_tls_->connection().fully_closed());
   EXPECT_TRUE(server_tls_->connection().fully_closed());
+}
+
+/// A send queue smaller than one record: TCP must refuse it.
+class TlsSmallSendBufferTest : public TlsPairTest {
+ protected:
+  void SetUp() override {
+    tcp_cfg_.send_buffer_limit = 4096;
+    TlsPairTest::SetUp();
+  }
+};
+
+TEST_F(TlsSmallSendBufferTest, RefusedRecordFailsTheSessionNotThePeersMac) {
+  run(1);
+  ASSERT_TRUE(client_established_);
+  ASSERT_TRUE(server_established_);
+  std::string client_reason;
+  std::string server_reason;
+  TlsSession::Callbacks ccb;
+  ccb.on_aborted = [&](std::string_view r) { client_reason = r; };
+  client_tls_->set_callbacks(std::move(ccb));
+  TlsSession::Callbacks scb;
+  scb.on_plaintext = [this](std::span<const std::uint8_t> b) {
+    server_received_.insert(server_received_.end(), b.begin(), b.end());
+  };
+  scb.on_aborted = [&](std::string_view r) { server_reason = r; };
+  server_tls_->set_callbacks(std::move(scb));
+
+  const std::vector<std::uint8_t> first(100, 1);
+  client_tls_->write(first);
+  // One 8213-byte record: more than the 4 KiB send queue takes.
+  client_tls_->write(std::vector<std::uint8_t>(8192, 2));
+  // Had the refused record been skipped, this one would be sealed at a
+  // keystream offset the peer never reaches, and fail its MAC there.
+  client_tls_->write(std::vector<std::uint8_t>(100, 3));
+  run(5);
+
+  EXPECT_EQ(client_reason, "tls-send-buffer-full");
+  EXPECT_NE(server_reason, "tls-bad-record-mac");
+  EXPECT_EQ(server_received_, first);
+  EXPECT_TRUE(client_tls_->connection().aborted());
 }
 
 }  // namespace
